@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +175,8 @@ def figure_dir(tmp_path_factory):
     return outdir
 
 
+GOLDEN_FIGURE = Path(__file__).resolve().parent / "golden" / "figure1"
+
 EXPECTED_PANELS = [
     f"fig1_p{int(p * 100)}_t{t}.csv"
     for p, ts in ((0.25, (6, 7, 8, 9)), (0.5, (11, 12, 13, 14)), (0.75, (16, 17, 18, 19)))
@@ -188,6 +191,7 @@ def test_figure1_writes_twelve_panels(figure_dir):
         lines = (figure_dir / name).read_text().splitlines()
         assert lines[0] == "sigma2,bennett,momopt,xitheorem"
         assert len(lines) == 51
+        assert (figure_dir / name).read_bytes() == (GOLDEN_FIGURE / name).read_bytes(), name
 
 
 def test_figure1_high_variance_panel_ordering(figure_dir):
