@@ -16,8 +16,8 @@ from typing import Sequence
 
 from ._search import minimize_exp_tail
 from .binomial_core import BinomialSpec, upper_tail
-from .classic_bounds import BoundReport, make_report
-from .distributions import DiscreteDist, convolve
+from .classic_bounds import BoundReport, make_report, require_regime
+from .distributions import DiscreteDist, best_linear_cut, convolve
 from .errors import (
     DomainError,
     InfeasibleMomentError,
@@ -121,10 +121,7 @@ def t_nm_distribution(mvs: Sequence[MomentVector]) -> DiscreteDist:
 def _mean_threshold(mvs: Sequence[MomentVector], t: float) -> float:
     n = len(mvs)
     mean = fsum(mv.mean for mv in mvs) / n
-    if not n * mean < t < n:
-        raise DomainError(
-            f"t must satisfy n*mu_1 < t < n, i.e. {n * mean!r} < t < {n}"
-        )
+    require_regime(n, mean, t)
     return mean
 
 
@@ -144,21 +141,6 @@ def exp_moment_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     )
 
 
-def _best_linear_cut(dist: DiscreteDist, t: float) -> tuple[float, float]:
-    """min over a in {0} union {support < t} of E[max(0, X-a)] / (t-a).
-
-    Ties break toward the largest candidate.  Returns (value, a_star).
-    """
-    candidates = [0.0] + [s for s in dist.support if 0.0 < s < t]
-    best_value = None
-    best_a = None
-    for a in candidates:
-        value = dist.expected_positive_part(a) / (t - a)
-        if best_value is None or value <= best_value:
-            best_value, best_a = value, a
-    return best_value, best_a
-
-
 def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     """Optimal piecewise-linear bound against the exact convolution of the
     per-variable lattice distributions on the grid {0, ..., n*m}/m."""
@@ -170,7 +152,7 @@ def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
             f"convolution grid would need {n * m} points (limit {MAX_GRID_POINTS})"
         )
     total = convolve([bernstein_weights(mv) for mv in mvs])
-    value, a_star = _best_linear_cut(total, t)
+    value, a_star = best_linear_cut(total, t)
     return make_report(
         "z_nm",
         value,
@@ -212,10 +194,7 @@ def refined_binomial_bound(mvs: Sequence[MomentVector], t: int) -> BoundReport:
     m = _shared_order(mvs)
     n = len(mvs)
     qs = power_mean_sequence(mvs)
-    if not n * qs[0] < t < n:
-        raise DomainError(
-            f"t must satisfy n*q_1 < t < n, i.e. {n * qs[0]!r} < t < {n}"
-        )
+    require_regime(n, qs[0], t)
     j = 0
     for s in range(1, m + 1):
         if n * qs[s - 1] + 1.0 < t:

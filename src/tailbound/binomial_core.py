@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, floor, fsum, lgamma, log, log1p
 
-from .distributions import DiscreteDist
+from .distributions import DiscreteDist, renormalized_dist
 from .errors import DomainError
 
 
@@ -88,7 +88,10 @@ def feller_point_bound(spec: BinomialSpec, i: int) -> float:
 
 
 def binomial_dist(spec: BinomialSpec, scale: float = 1.0) -> DiscreteDist:
-    """The full pmf as a DiscreteDist on {0, scale, ..., n*scale}."""
-    probs = tuple(exp(log_pmf(spec, k)) for k in range(spec.n + 1))
-    support = tuple(k * scale for k in range(spec.n + 1))
-    return DiscreteDist(support, probs)
+    """The full pmf as a DiscreteDist on {0, scale, ..., n*scale}.
+
+    For n in the thousands the log-gamma terms sum to one only within a few
+    1e-12; the pmf is then renormalized and flagged, as ``convolve`` does.
+    """
+    probs = [exp(log_pmf(spec, k)) for k in range(spec.n + 1)]
+    return renormalized_dist([k * scale for k in range(spec.n + 1)], probs)

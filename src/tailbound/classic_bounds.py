@@ -14,6 +14,15 @@ from typing import Any, Mapping, Sequence
 from .errors import DomainError
 
 
+def require_regime(n: int, p_bar: float, t: float) -> None:
+    """Raise :class:`DomainError` unless t lies in the nontrivial regime
+    n*p_bar < t < n, where p_bar is the average mean."""
+    if not n * p_bar < t < n:
+        raise DomainError(
+            f"t must exceed n*p = {n * p_bar!r} and lie below n = {n}, got {t!r}"
+        )
+
+
 @dataclass(frozen=True)
 class MeanInstance:
     """A sum of n independent [0,1]-valued variables with average mean p,
@@ -28,10 +37,7 @@ class MeanInstance:
             raise DomainError("n must be a positive integer")
         if not 0.0 < self.p < 1.0:
             raise DomainError("p must lie in (0, 1)")
-        if not self.n * self.p < self.t < self.n:
-            raise DomainError(
-                f"t must satisfy n*p < t < n, i.e. {self.n * self.p!r} < t < {self.n}"
-            )
+        require_regime(self.n, self.p, self.t)
 
     @classmethod
     def from_means(cls, means: Sequence[float], t: float) -> "MeanInstance":
@@ -144,8 +150,7 @@ def bennett_bound(n: int, vclass: VarianceClassSpec, t: float) -> BoundReport:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError("n must be a positive integer")
     p, s2 = vclass.p, vclass.sigma2
-    if not n * p < t < n:
-        raise DomainError(f"t must satisfy n*p < t < n, i.e. {n * p!r} < t < {n}")
+    require_regime(n, p, t)
     denom = s2 + (1.0 - p) ** 2
     alpha = s2 / denom
     beta = (s2 + (t / n - p) * (1.0 - p)) / denom

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,9 +80,11 @@ def _markov(task: BoundTask) -> BoundReport:
     return dataclasses.replace(report, n=task.n, p_or_q1=total_mean / task.n)
 
 
-def _moment_vectors(task: BoundTask) -> list[MomentVector]:
-    if task.information == "moments":
-        return [MomentVector(row) for row in task.moments]
+def _moment_specs(task: BoundTask) -> list[MomentVector]:
+    return [MomentVector(row) for row in task.moments]
+
+
+def _variance_moment_vectors(task: BoundTask) -> list[MomentVector]:
     # variance tasks feed the lattice machinery through (p, sigma2 + p^2)
     return [
         MomentVector((p, s2 + p * p))
@@ -118,44 +120,64 @@ def _bennett(task: BoundTask) -> BoundReport:
     )
 
 
-_MEAN_METHODS: dict[str, Callable[[BoundTask], BoundReport]] = {
-    "markov": _markov,
-    "hoeffding": lambda task: hoeffding_bound(_mean_instance(task)),
-    "hoeffding_exp": lambda task: hoeffding_exp_bound(_mean_instance(task)),
-    "bentkus_linear": lambda task: bentkus_linear_bound(_mean_instance(task)),
-    "missing_factor": lambda task: missing_factor_bound(_mean_instance(task)),
-    "binomial_comparison": lambda task: binomial_comparison_bound(_mean_instance(task)),
+class _Level(NamedTuple):
+    """What one information level contributes: the per-variable class specs
+    the oracle samples from, and the methods it adds.  Every level fixes
+    the means, so the ``mean`` level's methods apply to all of them."""
+
+    class_specs: Callable[[BoundTask], list]
+    methods: dict[str, Callable[[BoundTask], BoundReport]]
+
+
+_LEVELS: dict[str, _Level] = {
+    "mean": _Level(
+        lambda task: [MomentVector((p,)) for p in task.means],
+        {
+            "markov": _markov,
+            "hoeffding": lambda task: hoeffding_bound(_mean_instance(task)),
+            "hoeffding_exp": lambda task: hoeffding_exp_bound(_mean_instance(task)),
+            "bentkus_linear": lambda task: bentkus_linear_bound(_mean_instance(task)),
+            "missing_factor": lambda task: missing_factor_bound(_mean_instance(task)),
+            "binomial_comparison": lambda task: binomial_comparison_bound(
+                _mean_instance(task)
+            ),
+        },
+    ),
+    "moments": _Level(
+        _moment_specs,
+        {
+            "exp_moment": lambda task: exp_moment_bound(_moment_specs(task), task.t),
+            "z_nm": lambda task: z_nm_bound(_moment_specs(task), task.t),
+            "refined_binomial": lambda task: refined_binomial_bound(
+                _moment_specs(task), task.t
+            ),
+        },
+    ),
+    "variance": _Level(
+        _variance_specs,
+        {
+            "bennett": _bennett,
+            "z_nm": lambda task: z_nm_bound(_variance_moment_vectors(task), task.t),
+            "xi_sum": lambda task: xi_sum_bound(_variance_specs(task), task.t),
+        },
+    ),
+    "conditional-means": _Level(
+        _cond_means_specs,
+        {
+            "conditional_means": lambda task: conditional_means_bound(
+                _cond_means_specs(task), task.t
+            ),
+        },
+    ),
+    "conditional-probs": _Level(
+        lambda task: [_cond_probs_spec(task)] * task.n,
+        {
+            "conditional_probs": lambda task: conditional_probs_bound(
+                _cond_probs_spec(task), task.n, task.t
+            ),
+        },
+    ),
 }
-
-_EXTRA_METHODS: dict[str, dict[str, Callable[[BoundTask], BoundReport]]] = {
-    "mean": {},
-    "moments": {
-        "exp_moment": lambda task: exp_moment_bound(_moment_vectors(task), task.t),
-        "z_nm": lambda task: z_nm_bound(_moment_vectors(task), task.t),
-        "refined_binomial": lambda task: refined_binomial_bound(
-            _moment_vectors(task), task.t
-        ),
-    },
-    "variance": {
-        "bennett": _bennett,
-        "z_nm": lambda task: z_nm_bound(_moment_vectors(task), task.t),
-        "xi_sum": lambda task: xi_sum_bound(_variance_specs(task), task.t),
-    },
-    "conditional-means": {
-        "conditional_means": lambda task: conditional_means_bound(
-            _cond_means_specs(task), task.t
-        ),
-    },
-    "conditional-probs": {
-        "conditional_probs": lambda task: conditional_probs_bound(
-            _cond_probs_spec(task), task.n, task.t
-        ),
-    },
-}
-
-
-def method_names(information: str) -> list[str]:
-    return list(_MEAN_METHODS) + list(_EXTRA_METHODS[information])
 
 
 def compute_bounds(
@@ -163,8 +185,7 @@ def compute_bounds(
 ) -> list[ResultRow]:
     """Every applicable bound for one task; inapplicable methods become
     :class:`SkippedMethod` rows carrying the reason."""
-    available = dict(_MEAN_METHODS)
-    available.update(_EXTRA_METHODS[task.information])
+    available = {**_LEVELS["mean"].methods, **_LEVELS[task.information].methods}
     selected = list(available) if methods is None else list(methods)
     unknown = [m for m in selected if m not in available]
     if unknown:
@@ -204,18 +225,7 @@ def compute_bounds(
 
 def class_specs_for_task(task: BoundTask):
     """Per-variable class specs matching the task's information level."""
-    if task.information == "mean":
-        return [MomentVector((p,)) for p in task.means]
-    if task.information == "moments":
-        return [MomentVector(row) for row in task.moments]
-    if task.information == "variance":
-        return _variance_specs(task)
-    if task.information == "conditional-means":
-        return _cond_means_specs(task)
-    if task.information == "conditional-probs":
-        spec = _cond_probs_spec(task)
-        return [spec] * task.n
-    raise DomainError(f"unknown information level {task.information!r}")
+    return _LEVELS[task.information].class_specs(task)
 
 
 def _read_instance(path: str) -> InstanceFile:
@@ -263,7 +273,11 @@ def cmd_verify(path: str, trials: int, seed: int, inject_corrupt: bool = False) 
             child = np.random.SeedSequence(
                 [seed, task_index, method_index]
             ).generate_state(1)[0]
-            report = validate_bound(specs, task.t, bound_value, trials, int(child))
+            try:
+                report = validate_bound(specs, task.t, bound_value, trials, int(child))
+            except TailboundError as exc:
+                _print_input_error(exc)
+                return 2
             total_violations += len(report.violations)
             print(
                 f"{row.method},{task.t:.12g},"

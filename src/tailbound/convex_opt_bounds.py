@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import ceil, e, exp, floor
 
-from .binomial_core import BinomialSpec, expected_positive_part, log_pmf, upper_tail
+from .binomial_core import BinomialSpec, binomial_dist, log_pmf, upper_tail
 from .classic_bounds import (
     BoundReport,
     MeanInstance,
@@ -18,6 +18,7 @@ from .classic_bounds import (
     make_report,
     optimal_exp_rate,
 )
+from .distributions import best_linear_cut
 from .errors import DomainError, PreconditionError
 
 
@@ -38,18 +39,11 @@ def bentkus_linear_bound(inst: MeanInstance) -> BoundReport:
     integer breakpoints j in {0, ..., ceil(t)-1} can be optimal.  Ties are
     broken toward the largest j for deterministic output.
     """
-    spec = BinomialSpec(inst.n, inst.p)
-    t = inst.t
-    best_value = None
-    best_j = None
-    for j in range(int(ceil(t))):
-        value = expected_positive_part(spec, j) / (t - j)
-        if best_value is None or value <= best_value:
-            best_value, best_j = value, j
+    value, j_star = best_linear_cut(binomial_dist(BinomialSpec(inst.n, inst.p)), inst.t)
     return make_report(
         "bentkus_linear",
-        best_value,
-        {"epsilon": float(best_j)},
+        value,
+        {"epsilon": j_star},
         n=inst.n,
         p_or_q1=inst.p,
         t=inst.t,

@@ -113,21 +113,6 @@ class DiscreteDist:
             q for s, q in zip(self.support, self.probs) if same_point(s, x)
         )
 
-    def pruned(self) -> "DiscreteDist":
-        """The same distribution without zero-mass support points."""
-        pairs = [(s, q) for s, q in zip(self.support, self.probs) if q > 0.0]
-        return DiscreteDist(
-            tuple(s for s, _ in pairs), tuple(q for _, q in pairs), self.renormalized
-        )
-
-    def scaled(self, factor: float) -> "DiscreteDist":
-        """Distribution of ``factor * X`` for ``factor > 0``."""
-        if factor <= 0.0:
-            raise DomainError("scale factor must be positive")
-        return DiscreteDist(
-            tuple(factor * s for s in self.support), self.probs, self.renormalized
-        )
-
 
 def _merge_pairs(pairs: Iterable[tuple[float, float]]) -> tuple[list[float], list[float]]:
     """Sort (value, prob) pairs and merge values within tolerance.
@@ -181,8 +166,31 @@ def convolve(dists: Sequence[DiscreteDist]) -> DiscreteDist:
             for s1, q1 in live
         ]
         acc_support, acc_probs = _merge_pairs(pairs)
-    total = math.fsum(acc_probs)
+    return renormalized_dist(acc_support, acc_probs)
+
+
+def renormalized_dist(support: Sequence[float], probs: Sequence[float]) -> DiscreteDist:
+    """A distribution from computed probabilities whose total may drift from
+    one by rounding; they are rescaled, and the result flagged, only when
+    the drift exceeds ``1e-12``."""
+    total = math.fsum(probs)
     renormalized = abs(total - 1.0) > PROB_SUM_TOL
     if renormalized:
-        acc_probs = [q / total for q in acc_probs]
-    return DiscreteDist(tuple(acc_support), tuple(acc_probs), renormalized)
+        probs = [q / total for q in probs]
+    return DiscreteDist(tuple(support), tuple(probs), renormalized)
+
+
+def best_linear_cut(dist: DiscreteDist, t: float) -> tuple[float, float]:
+    """min over a in {0} union {support points in (0, t)} of
+    E[max(0, X - a)] / (t - a), the optimal piecewise-linear tail bound.
+
+    Between support points the ratio is monotone in a, so only these
+    candidates can be optimal.  Ties break toward the largest candidate.
+    Returns (value, a_star).
+    """
+    best_value, best_a = None, None
+    for a in [0.0] + [s for s in dist.support if 0.0 < s < t]:
+        value = dist.expected_positive_part(a) / (t - a)
+        if best_value is None or value <= best_value:
+            best_value, best_a = value, a
+    return best_value, best_a

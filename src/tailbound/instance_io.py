@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 from .bernstein_moments import MomentVector
-from .classic_bounds import BoundReport, VarianceClassSpec
+from .classic_bounds import BoundReport, VarianceClassSpec, require_regime
 from .errors import DomainError, ValidationError
 from .mixture_bounds import ConditionalMeansSpec, ConditionalProbsSpec, PartitionSpec
 
@@ -137,11 +137,6 @@ class _Collector:
     def add(self, path: str, message: str) -> None:
         self.violations.append(f"{path}: {message}")
 
-    def require(self, condition: bool, path: str, message: str) -> bool:
-        if not condition:
-            self.add(path, message)
-        return condition
-
 
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -205,34 +200,56 @@ def _parse_sigma2_axis(sweep: dict, errors: _Collector) -> list[float] | None:
     return None
 
 
+def _probability(value: Any) -> float:
+    if not _is_number(value):
+        raise DomainError("must be a number")
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"must lie in (0, 1), got {float(value)!r}")
+    return float(value)
+
+
+def _number_row(value: Any) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value or not all(_is_number(v) for v in value):
+        raise DomainError("must be a nonempty array of numbers")
+    return tuple(float(v) for v in value)
+
+
 def _shared_or_per_var(
     doc: dict,
     shared_key: str,
     list_key: str,
     n: int,
     errors: _Collector,
-) -> list[float] | None:
-    """Resolve a parameter given either once or per variable into n values."""
+    entry: Callable[[Any], Any],
+) -> list | None:
+    """Resolve a parameter given either once or per variable into n values.
+
+    ``entry`` converts one variable's raw value or raises DomainError; the
+    first failure is recorded under ``shared_key[i]`` and None returned.
+    """
     has_shared = shared_key in doc
     has_list = list_key in doc
     if has_shared and has_list:
         errors.add(shared_key, f"give either {shared_key} or {list_key}, not both")
         return None
     if has_shared:
-        if not _is_number(doc[shared_key]):
-            errors.add(shared_key, "must be a number")
+        raw = [doc[shared_key]] * n
+    elif has_list:
+        raw = doc[list_key]
+        if not isinstance(raw, list) or len(raw) != n:
+            errors.add(list_key, f"must be an array of exactly n={n} entries")
             return None
-        return [float(doc[shared_key])] * n
-    if has_list:
-        values = _number_list(doc, list_key, errors)
-        if values is None:
+    else:
+        errors.add(shared_key, f"required ({shared_key} or {list_key})")
+        return None
+    values = []
+    for i, value in enumerate(raw):
+        try:
+            values.append(entry(value))
+        except DomainError as exc:
+            errors.add(f"{shared_key}[{i}]", str(exc))
             return None
-        if len(values) != n:
-            errors.add(list_key, f"must have exactly n={n} entries, got {len(values)}")
-            return None
-        return values
-    errors.add(shared_key, f"required ({shared_key} or {list_key})")
-    return None
+    return values
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -282,46 +299,23 @@ def parse_instance(text: str) -> InstanceFile:
     if information in ("mean", "variance", "conditional-means", "conditional-probs"):
         if information == "conditional-probs" and "p_list" in doc:
             errors.add("p_list", "conditional-probs instances use a single shared p")
-        resolved = _shared_or_per_var(doc, "p", "p_list", n, errors)
-        if resolved is not None:
-            for i, p in enumerate(resolved):
-                if not 0.0 < p < 1.0:
-                    errors.add(f"p[{i}]", f"must lie in (0, 1), got {p!r}")
-                    resolved = None
-                    break
+        resolved = _shared_or_per_var(doc, "p", "p_list", n, errors, _probability)
         means = tuple(resolved) if resolved is not None else None
 
     if information == "moments":
-        rows = None
-        if "moments" in doc and "moments_list" in doc:
-            errors.add("moments", "give either moments or moments_list, not both")
-        elif "moments" in doc:
-            row = _number_list(doc, "moments", errors)
-            rows = [row] * n if row else None
-        elif "moments_list" in doc:
-            raw = doc["moments_list"]
-            if (
-                not isinstance(raw, list)
-                or len(raw) != n
-                or not all(isinstance(r, list) and r and all(_is_number(v) for v in r) for r in raw)
-            ):
-                errors.add("moments_list", f"must be an array of n={n} nonempty numeric arrays")
-            else:
-                rows = [[float(v) for v in r] for r in raw]
-                if len({len(r) for r in rows}) != 1:
-                    errors.add("moments_list", "all variables must share the same moment order")
-                    rows = None
-        else:
-            errors.add("moments", "required (moments or moments_list)")
+        rows = _shared_or_per_var(doc, "moments", "moments_list", n, errors, _number_row)
+        if rows and len({len(r) for r in rows}) != 1:
+            errors.add("moments_list", "all variables must share the same moment order")
+            rows = None
         if rows:
             for i, row in enumerate(rows):
                 try:
-                    MomentVector(tuple(row))
+                    MomentVector(row)
                 except DomainError as exc:
                     errors.add(f"moments[{i}]" if "moments_list" in doc else "moments", str(exc))
                     rows = None
                     break
-        moments = tuple(tuple(r) for r in rows) if rows else None
+        moments = tuple(rows) if rows else None
 
     if information == "variance":
         sources = [k for k in ("sigma2", "sigma2_list") if k in doc]
@@ -375,24 +369,7 @@ def parse_instance(text: str) -> InstanceFile:
 
     if information == "conditional-means" and breakpoints is not None and means is not None:
         m = len(breakpoints) - 1
-        rows = None
-        if "mu" in doc and "mu_list" in doc:
-            errors.add("mu", "give either mu or mu_list, not both")
-        elif "mu" in doc:
-            row = _number_list(doc, "mu", errors)
-            rows = [row] * n if row else None
-        elif "mu_list" in doc:
-            raw = doc["mu_list"]
-            if (
-                not isinstance(raw, list)
-                or len(raw) != n
-                or not all(isinstance(r, list) and all(_is_number(v) for v in r) for r in raw)
-            ):
-                errors.add("mu_list", f"must be an array of n={n} numeric arrays")
-            else:
-                rows = [[float(v) for v in r] for r in raw]
-        else:
-            errors.add("mu", "required (mu or mu_list)")
+        rows = _shared_or_per_var(doc, "mu", "mu_list", n, errors, _number_row)
         if rows:
             partition = PartitionSpec(breakpoints)
             for i, row in enumerate(rows):
@@ -401,12 +378,12 @@ def parse_instance(text: str) -> InstanceFile:
                     rows = None
                     break
                 try:
-                    ConditionalMeansSpec(partition, tuple(row), means[i])
+                    ConditionalMeansSpec(partition, row, means[i])
                 except DomainError as exc:
                     errors.add(f"mu[{i}]", str(exc))
                     rows = None
                     break
-        cond_means = tuple(tuple(r) for r in rows) if rows else None
+        cond_means = tuple(rows) if rows else None
 
     if information == "conditional-probs" and breakpoints is not None and means is not None:
         row = _number_list(doc, "q", errors)
@@ -430,10 +407,14 @@ def parse_instance(text: str) -> InstanceFile:
         p_bar = math.fsum(row[0] for row in moments) / n
     for i, t in enumerate(t_values):
         label = "t" if len(t_values) == 1 and "t" in doc else f"sweep.t[{i}]"
-        if not t < n:
-            errors.add(label, f"t must be below n = {n}, got {t!r}")
-        elif p_bar is not None and not p_bar * n < t:
-            errors.add(label, f"t must exceed n*p = {p_bar * n!r}, got {t!r}")
+        if p_bar is None:
+            if not t < n:
+                errors.add(label, f"t must be below n = {n}, got {t!r}")
+            continue
+        try:
+            require_regime(n, p_bar, t)
+        except DomainError as exc:
+            errors.add(label, str(exc))
 
     if errors.violations:
         raise ValidationError(errors.violations)

@@ -11,12 +11,19 @@ applies to the envelope instead of the worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, log, log1p, sqrt
+from math import exp, fsum, log, sqrt
 from typing import Sequence
 
 from ._search import minimize_exp_tail
-from .classic_bounds import BoundReport, VarianceClassSpec, make_report
-from .distributions import DiscreteDist, convolve
+from .classic_bounds import (
+    BoundReport,
+    MeanInstance,
+    VarianceClassSpec,
+    make_report,
+    optimal_exp_rate,
+    require_regime,
+)
+from .distributions import DiscreteDist, best_linear_cut, convolve
 from .errors import DomainError
 
 
@@ -173,8 +180,7 @@ def conditional_means_bound(
     pi3 = fsum((1.0 - q) * u for q, u in zip(q_list, u_list)) / n
     pi4 = fsum((1.0 - q) * (1.0 - u) for q, u in zip(q_list, u_list)) / n
     p_bar = fsum(spec.p for spec in specs) / n
-    if not n * p_bar < t < n:
-        raise DomainError(f"t must satisfy n*p < t < n, i.e. {n * p_bar!r} < t < {n}")
+    require_regime(n, p_bar, t)
     envelope = DiscreteDist.from_pairs(
         [(0.0, pi1), (r[1], pi2), (r[m - 1], pi3), (1.0, pi4)]
     )
@@ -227,12 +233,8 @@ def conditional_probs_bound(
     budget constraint; its greedy vertex solution gives the reported value
     exp(-h t) (E[e^{h xi}])^n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError("n must be a positive integer")
     p = spec.p
-    if not n * p < t < n:
-        raise DomainError(f"t must satisfy n*p < t < n, i.e. {n * p!r} < t < {n}")
-    h = log(t) + log1p(-p) - log(p) - log(n - t)
+    h = optimal_exp_rate(MeanInstance(n, p, t))
     mus = _lp_extremal_means(spec)
     r = spec.partition.breakpoints
     pairs = []
@@ -288,24 +290,15 @@ def xi_sum_bound(vclasses: Sequence[VarianceClassSpec], t: float) -> BoundReport
     """Optimal piecewise-linear bound against the exact convolution of the
     per-variable three-point envelopes.
 
-    The cut candidates are 0 together with every support point of the sum
-    below t; the optimum of the ratio E[max(0, S-e)]/(t-e) over e in [0, t)
-    sits at such a point.  Ties break toward the largest candidate.
+    The cut is ``best_linear_cut`` over the support of the sum.
     """
     if not vclasses:
         raise DomainError("at least one variance class is required")
     n = len(vclasses)
     p_bar = fsum(v.p for v in vclasses) / n
-    if not n * p_bar < t < n:
-        raise DomainError(f"t must satisfy n*p < t < n, i.e. {n * p_bar!r} < t < {n}")
+    require_regime(n, p_bar, t)
     total = convolve([xi_distribution(v) for v in vclasses])
-    candidates = [0.0] + [s for s in total.support if 0.0 < s < t]
-    best_value = None
-    best_eps = None
-    for eps in candidates:
-        value = total.expected_positive_part(eps) / (t - eps)
-        if best_value is None or value <= best_value:
-            best_value, best_eps = value, eps
+    best_value, best_eps = best_linear_cut(total, t)
     sigma2s = {v.sigma2 for v in vclasses}
     shared_sigma2 = sigma2s.pop() if len(sigma2s) == 1 else None
     return make_report(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bernstein_moments import MomentVector
 from .classic_bounds import VarianceClassSpec
-from .distributions import DiscreteDist, convolve  # noqa: F401  (convolve is part of this module's surface)
+from .distributions import DiscreteDist, best_linear_cut, convolve
 from .errors import DomainError, SamplingExhaustedError
 from .mixture_bounds import ConditionalMeansSpec, ConditionalProbsSpec
 
@@ -400,11 +400,5 @@ def markov_reduction_check(mus: Sequence[float], t: float) -> MarkovReductionRep
     for mu in mus:
         high = mu / t
         parts.append(DiscreteDist((0.0, t), (1.0 - high, high)))
-    dist = convolve(parts)
-    candidates = [0.0] + [s for s in dist.support if 0.0 < s < t]
-    best_value, best_eps = None, None
-    for eps in candidates:
-        value = dist.expected_positive_part(eps) / (t - eps)
-        if best_value is None or value < best_value:
-            best_value, best_eps = value, eps
+    best_value, best_eps = best_linear_cut(convolve(parts), t)
     return MarkovReductionReport(best_value, best_eps, total_mean / t)

@@ -11,6 +11,7 @@ from helpers import binom_epp_exact, binom_pmf_exact, binom_tail_exact
 from tailbound import (
     BinomialSpec,
     DomainError,
+    binomial_dist,
     expected_positive_part,
     feller_point_bound,
     log_pmf,
@@ -62,6 +63,16 @@ def test_expected_positive_part_known_values():
     assert expected_positive_part(spec, 4) == pytest.approx(1268 / 1024, rel=1e-12)
     # below zero the positive part is the full expectation shifted
     assert expected_positive_part(spec, -2.5) == pytest.approx(7.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3000, 10000])
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.99])
+def test_binomial_dist_large_n_has_unit_mass(n, p):
+    # log-gamma rounding leaves the raw pmf about 1e-12 short of one here
+    dist = binomial_dist(BinomialSpec(n, p))
+    assert dist.n_points == n + 1
+    assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-14)
+    assert dist.mean() == pytest.approx(n * p, rel=1e-12)
 
 
 def test_feller_point_bound_known_values():

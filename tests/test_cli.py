@@ -168,6 +168,23 @@ def test_verify_rejects_large_instances(tmp_path, capsys):
     assert "n <= 8" in err
 
 
+def test_verify_oracle_resource_limit_is_input_error(tmp_path, capsys):
+    # three-cell members have six support points; 6^8 exceeds the convolution cap
+    doc = {
+        "schema_version": 1,
+        "information": "conditional-means",
+        "n": 8,
+        "p": 0.4,
+        "breakpoints": [0, 0.3, 0.7, 1],
+        "mu": [0.1, 0.5, 0.85],
+        "t": 5,
+    }
+    path = write_instance(tmp_path, doc)
+    code, _, err = run_cli(capsys, "verify", path, "--trials", "2", "--seed", "1")
+    assert code == 2
+    assert "error: convolution support would exceed" in err
+
+
 @pytest.fixture(scope="module")
 def figure_dir(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("fig1")

@@ -32,6 +32,7 @@ from tailbound import (
     upper_tail,
     validate_bound,
 )
+from tailbound.distributions import best_linear_cut
 
 
 def bernoulli(p):
@@ -76,6 +77,12 @@ def test_convolve_support_guard():
     )
     with pytest.raises(ResourceLimitError):
         convolve([big, big])
+
+
+def test_best_linear_cut_breaks_ties_toward_largest_candidate():
+    # cuts at 0 and 1 both give 0.75; the point at 4 lies above t
+    dist = DiscreteDist((0.0, 1.0, 4.0), (0.25, 0.5, 0.25))
+    assert best_linear_cut(dist, 2.0) == (0.75, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
