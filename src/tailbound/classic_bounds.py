@@ -66,6 +66,10 @@ class VarianceClassSpec:
                 f"sigma2 must satisfy 0 < sigma2 <= p(1-p) = {cap!r}, got {self.sigma2!r}"
             )
 
+    @property
+    def mean(self) -> float:
+        return self.p
+
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,14 +46,11 @@ from .instance_io import (
     parse_instance,
 )
 from .mixture_bounds import (
-    ConditionalMeansSpec,
-    ConditionalProbsSpec,
-    PartitionSpec,
     conditional_means_bound,
     conditional_probs_bound,
     xi_sum_bound,
 )
-from .order_oracle import validate_bound
+from .order_oracle import ClassSpec, validate_bound
 
 FIGURE_PANELS = (
     (0.25, (6, 7, 8, 9)),
@@ -62,121 +59,62 @@ FIGURE_PANELS = (
 )
 FIGURE_N = 20
 FIGURE_GRID_POINTS = 50
-
-
-def _task_means(task: BoundTask) -> tuple[float, ...]:
-    if task.means is not None:
-        return task.means
-    return tuple(row[0] for row in task.moments)
+#: the panels' columns: bennett, momopt and xitheorem
+FIGURE_METHODS = ("bennett", "z_nm", "xi_sum")
 
 
 def _mean_instance(task: BoundTask) -> MeanInstance:
-    return MeanInstance.from_means(_task_means(task), task.t)
+    return MeanInstance.from_means(task.means, task.t)
 
 
 def _markov(task: BoundTask) -> BoundReport:
-    total_mean = math.fsum(_task_means(task))
+    total_mean = math.fsum(task.means)
     report = markov_bound(total_mean, task.t)
     return dataclasses.replace(report, n=task.n, p_or_q1=total_mean / task.n)
 
 
-def _moment_specs(task: BoundTask) -> list[MomentVector]:
-    return [MomentVector(row) for row in task.moments]
-
-
 def _variance_moment_vectors(task: BoundTask) -> list[MomentVector]:
     # variance tasks feed the lattice machinery through (p, sigma2 + p^2)
-    return [
-        MomentVector((p, s2 + p * p))
-        for p, s2 in zip(task.means, task.sigma2s)
-    ]
-
-
-def _variance_specs(task: BoundTask) -> list[VarianceClassSpec]:
-    return [VarianceClassSpec(p, s2) for p, s2 in zip(task.means, task.sigma2s)]
-
-
-def _cond_means_specs(task: BoundTask) -> list[ConditionalMeansSpec]:
-    partition = PartitionSpec(task.breakpoints)
-    return [
-        ConditionalMeansSpec(partition, row, p)
-        for row, p in zip(task.cond_means, task.means)
-    ]
-
-
-def _cond_probs_spec(task: BoundTask) -> ConditionalProbsSpec:
-    return ConditionalProbsSpec(
-        PartitionSpec(task.breakpoints), task.cell_probs, task.means[0]
-    )
+    return [MomentVector((s.p, s.sigma2 + s.p * s.p)) for s in task.specs]
 
 
 def _bennett(task: BoundTask) -> BoundReport:
-    if len(set(task.sigma2s)) != 1 or len(set(task.means)) != 1:
+    if len(set(task.specs)) != 1:
         raise DomainError(
             "the variance-aware exponential bound requires a shared (p, sigma2) pair"
         )
-    return bennett_bound(
-        task.n, VarianceClassSpec(task.means[0], task.sigma2s[0]), task.t
-    )
+    return bennett_bound(task.n, task.specs[0], task.t)
 
 
-class _Level(NamedTuple):
-    """What one information level contributes: the per-variable class specs
-    the oracle samples from, and the methods it adds.  Every level fixes
-    the means, so the ``mean`` level's methods apply to all of them."""
-
-    class_specs: Callable[[BoundTask], list]
-    methods: dict[str, Callable[[BoundTask], BoundReport]]
-
-
-_LEVELS: dict[str, _Level] = {
-    "mean": _Level(
-        lambda task: [MomentVector((p,)) for p in task.means],
-        {
-            "markov": _markov,
-            "hoeffding": lambda task: hoeffding_bound(_mean_instance(task)),
-            "hoeffding_exp": lambda task: hoeffding_exp_bound(_mean_instance(task)),
-            "bentkus_linear": lambda task: bentkus_linear_bound(_mean_instance(task)),
-            "missing_factor": lambda task: missing_factor_bound(_mean_instance(task)),
-            "binomial_comparison": lambda task: binomial_comparison_bound(
-                _mean_instance(task)
-            ),
-        },
-    ),
-    "moments": _Level(
-        _moment_specs,
-        {
-            "exp_moment": lambda task: exp_moment_bound(_moment_specs(task), task.t),
-            "z_nm": lambda task: z_nm_bound(_moment_specs(task), task.t),
-            "refined_binomial": lambda task: refined_binomial_bound(
-                _moment_specs(task), task.t
-            ),
-        },
-    ),
-    "variance": _Level(
-        _variance_specs,
-        {
-            "bennett": _bennett,
-            "z_nm": lambda task: z_nm_bound(_variance_moment_vectors(task), task.t),
-            "xi_sum": lambda task: xi_sum_bound(_variance_specs(task), task.t),
-        },
-    ),
-    "conditional-means": _Level(
-        _cond_means_specs,
-        {
-            "conditional_means": lambda task: conditional_means_bound(
-                _cond_means_specs(task), task.t
-            ),
-        },
-    ),
-    "conditional-probs": _Level(
-        lambda task: [_cond_probs_spec(task)] * task.n,
-        {
-            "conditional_probs": lambda task: conditional_probs_bound(
-                _cond_probs_spec(task), task.n, task.t
-            ),
-        },
-    ),
+#: the methods each information level adds; every level fixes the means,
+#: so the ``mean`` level's methods apply to all of them
+_LEVELS: dict[str, dict[str, Callable[[BoundTask], BoundReport]]] = {
+    "mean": {
+        "markov": _markov,
+        "hoeffding": lambda task: hoeffding_bound(_mean_instance(task)),
+        "hoeffding_exp": lambda task: hoeffding_exp_bound(_mean_instance(task)),
+        "bentkus_linear": lambda task: bentkus_linear_bound(_mean_instance(task)),
+        "missing_factor": lambda task: missing_factor_bound(_mean_instance(task)),
+        "binomial_comparison": lambda task: binomial_comparison_bound(_mean_instance(task)),
+    },
+    "moments": {
+        "exp_moment": lambda task: exp_moment_bound(task.specs, task.t),
+        "z_nm": lambda task: z_nm_bound(task.specs, task.t),
+        "refined_binomial": lambda task: refined_binomial_bound(task.specs, task.t),
+    },
+    "variance": {
+        "bennett": _bennett,
+        "z_nm": lambda task: z_nm_bound(_variance_moment_vectors(task), task.t),
+        "xi_sum": lambda task: xi_sum_bound(task.specs, task.t),
+    },
+    "conditional-means": {
+        "conditional_means": lambda task: conditional_means_bound(task.specs, task.t),
+    },
+    "conditional-probs": {
+        "conditional_probs": lambda task: conditional_probs_bound(
+            task.specs[0], task.n, task.t
+        ),
+    },
 }
 
 
@@ -185,7 +123,7 @@ def compute_bounds(
 ) -> list[ResultRow]:
     """Every applicable bound for one task; inapplicable methods become
     :class:`SkippedMethod` rows carrying the reason."""
-    available = {**_LEVELS["mean"].methods, **_LEVELS[task.information].methods}
+    available = {**_LEVELS["mean"], **_LEVELS[task.information]}
     selected = list(available) if methods is None else list(methods)
     unknown = [m for m in selected if m not in available]
     if unknown:
@@ -193,8 +131,7 @@ def compute_bounds(
             f"unknown method(s) {', '.join(unknown)}; "
             f"available for {task.information}: {', '.join(available)}"
         )
-    means = _task_means(task)
-    p_bar = math.fsum(means) / task.n
+    p_bar = math.fsum(task.means) / task.n
     rows: list[ResultRow] = []
     for name in selected:
         try:
@@ -223,9 +160,9 @@ def compute_bounds(
     return rows
 
 
-def class_specs_for_task(task: BoundTask):
-    """Per-variable class specs matching the task's information level."""
-    return _LEVELS[task.information].class_specs(task)
+def class_specs_for_task(task: BoundTask) -> tuple[ClassSpec, ...]:
+    """Per-variable class specs the oracle samples from."""
+    return task.specs
 
 
 def _read_instance(path: str) -> InstanceFile:
@@ -250,7 +187,7 @@ def cmd_bound(path: str, methods: Sequence[str] | None, fmt: str) -> int:
     return 0
 
 
-def cmd_verify(path: str, trials: int, seed: int, inject_corrupt: bool = False) -> int:
+def cmd_verify(path: str, trials: int, seed: int) -> int:
     try:
         instance = _read_instance(path)
         if instance.n > 8:
@@ -262,27 +199,25 @@ def cmd_verify(path: str, trials: int, seed: int, inject_corrupt: bool = False) 
         _print_input_error(exc)
         return 2
     total_violations = 0
-    print("method,t,sigma2,bound,max_tail,violations")
+    lines = ["method,t,sigma2,bound,max_tail,violations"]
     for task_index, task in enumerate(tasks):
-        specs = class_specs_for_task(task)
         rows = compute_bounds(task)
         for method_index, row in enumerate(rows):
             if isinstance(row, SkippedMethod):
                 continue
-            bound_value = row.value / 2.0 if inject_corrupt else row.value
             child = np.random.SeedSequence(
                 [seed, task_index, method_index]
             ).generate_state(1)[0]
             try:
-                report = validate_bound(specs, task.t, bound_value, trials, int(child))
+                report = validate_bound(task.specs, task.t, row.value, trials, int(child))
             except TailboundError as exc:
                 _print_input_error(exc)
                 return 2
             total_violations += len(report.violations)
-            print(
+            lines.append(
                 f"{row.method},{task.t:.12g},"
                 f"{'' if task.sigma2_label is None else format(task.sigma2_label, '.12g')},"
-                f"{bound_value:.12g},{report.max_tail:.12g},{len(report.violations)}"
+                f"{row.value:.12g},{report.max_tail:.12g},{len(report.violations)}"
             )
             for violation in report.violations:
                 members = "; ".join(
@@ -292,24 +227,26 @@ def cmd_verify(path: str, trials: int, seed: int, inject_corrupt: bool = False) 
                 )
                 print(
                     f"counterexample: method={row.method} trial={violation.trial} "
-                    f"tail={violation.tail:.12g} > bound={bound_value:.12g} [{members}]",
+                    f"tail={violation.tail:.12g} > bound={row.value:.12g} [{members}]",
                     file=sys.stderr,
                 )
+    sys.stdout.write("\n".join(lines) + "\n")
     return 1 if total_violations else 0
 
 
-def _figure_rows(p: float, t: int):
+def _figure_rows(p: float, t: int) -> list[tuple[float, ...]]:
     cap = p * (1.0 - p)
     rows = []
     for k in range(1, FIGURE_GRID_POINTS + 1):
         s2 = cap * k / FIGURE_GRID_POINTS
-        vclass = VarianceClassSpec(p, s2)
-        bennett = bennett_bound(FIGURE_N, vclass, t).value
-        momopt = z_nm_bound(
-            [MomentVector((p, s2 + p * p))] * FIGURE_N, float(t)
-        ).value
-        xitheorem = xi_sum_bound([vclass] * FIGURE_N, float(t)).value
-        rows.append((s2, bennett, momopt, xitheorem))
+        task = BoundTask("variance", float(t), (VarianceClassSpec(p, s2),) * FIGURE_N)
+        reports = compute_bounds(task, FIGURE_METHODS)
+        for report in reports:
+            if isinstance(report, SkippedMethod):
+                raise DomainError(
+                    f"figure1 p={p} t={t} sigma2={s2!r}: {report.method} skipped: {report.reason}"
+                )
+        rows.append((s2, *(report.value for report in reports)))
     return rows
 
 
@@ -332,7 +269,7 @@ def cmd_figure1(outdir: str) -> int:
                     if os.path.exists(tmp_path):
                         os.unlink(tmp_path)
                     raise
-    except OSError as exc:
+    except (OSError, TailboundError) as exc:
         _print_input_error(exc)
         return 2
     return 0
@@ -372,9 +309,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_verify.add_argument("instance", help="path to a JSON instance file (n <= 8)")
     p_verify.add_argument("--trials", type=int, required=True, help="member tuples per bound")
     p_verify.add_argument("--seed", type=int, required=True, help="root seed")
-    p_verify.add_argument(
-        "--inject-corrupt", action="store_true", help=argparse.SUPPRESS
-    )
 
     p_fig = sub.add_parser(
         "figure1", help="emit the 12 variance-sweep comparison panels as CSV files"
@@ -388,7 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         return cmd_bound(args.instance, methods, args.format)
     if args.command == "verify":
-        return cmd_verify(args.instance, args.trials, args.seed, args.inject_corrupt)
+        return cmd_verify(args.instance, args.trials, args.seed)
     if args.command == "figure1":
         return cmd_figure1(args.out)
     parser.error(f"unknown command {args.command!r}")

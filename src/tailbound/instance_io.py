@@ -12,6 +12,7 @@ numeric field is written with 12 significant digits.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .bernstein_moments import MomentVector
 from .classic_bounds import BoundReport, VarianceClassSpec, require_regime
 from .errors import DomainError, ValidationError
 from .mixture_bounds import ConditionalMeansSpec, ConditionalProbsSpec, PartitionSpec
+from .order_oracle import ClassSpec
 
 SCHEMA_VERSION = 1
 INFORMATION_LEVELS = (
@@ -63,68 +65,57 @@ ResultRow = Union[BoundReport, SkippedMethod]
 @dataclass(frozen=True)
 class BoundTask:
     """One fully resolved computation input (a single grid point of an
-    instance's sweep axes)."""
+    instance's sweep axes): a threshold and the class spec of each
+    variable."""
 
     information: str
-    n: int
     t: float
-    means: tuple[float, ...] | None = None
-    sigma2s: tuple[float, ...] | None = None
-    moments: tuple[tuple[float, ...], ...] | None = None
-    breakpoints: tuple[float, ...] | None = None
-    cond_means: tuple[tuple[float, ...], ...] | None = None
-    cell_probs: tuple[float, ...] | None = None
+    specs: tuple[ClassSpec, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.specs)
+
+    @property
+    def means(self) -> tuple[float, ...]:
+        return tuple(spec.mean for spec in self.specs)
+
+    @property
+    def sigma2s(self) -> tuple[float, ...] | None:
+        if self.information != "variance":
+            return None
+        return tuple(spec.sigma2 for spec in self.specs)
 
     @property
     def sigma2_label(self) -> float | None:
-        if self.sigma2s is None:
+        sigma2s = self.sigma2s
+        if sigma2s is None:
             return None
-        if len(set(self.sigma2s)) == 1:
-            return self.sigma2s[0]
-        return math.fsum(self.sigma2s) / len(self.sigma2s)
+        if len(set(sigma2s)) == 1:
+            return sigma2s[0]
+        return math.fsum(sigma2s) / len(sigma2s)
 
 
 @dataclass(frozen=True)
 class InstanceFile:
-    """A validated instance document."""
+    """A validated instance document: its thresholds and the class specs of
+    its variables, one row per sigma2 sweep point (a single row for every
+    other level)."""
 
-    schema_version: int
     information: str
-    n: int
     t_values: tuple[float, ...]
-    means: tuple[float, ...] | None = None
-    sigma2_values: tuple[float, ...] | None = None
-    per_var_sigma2: tuple[float, ...] | None = None
-    moments: tuple[tuple[float, ...], ...] | None = None
-    breakpoints: tuple[float, ...] | None = None
-    cond_means: tuple[tuple[float, ...], ...] | None = None
-    cell_probs: tuple[float, ...] | None = None
+    spec_rows: tuple[tuple[ClassSpec, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.spec_rows[0])
 
     def tasks(self) -> list[BoundTask]:
-        out = []
-        if self.information == "variance":
-            if self.per_var_sigma2 is not None:
-                sigma2_rows = [self.per_var_sigma2]
-            else:
-                sigma2_rows = [(s2,) * self.n for s2 in self.sigma2_values]
-        else:
-            sigma2_rows = [None]
-        for sigma2s in sigma2_rows:
-            for t in self.t_values:
-                out.append(
-                    BoundTask(
-                        information=self.information,
-                        n=self.n,
-                        t=t,
-                        means=self.means,
-                        sigma2s=sigma2s,
-                        moments=self.moments,
-                        breakpoints=self.breakpoints,
-                        cond_means=self.cond_means,
-                        cell_probs=self.cell_probs,
-                    )
-                )
-        return out
+        return [
+            BoundTask(self.information, t, row)
+            for row in self.spec_rows
+            for t in self.t_values
+        ]
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -143,9 +134,9 @@ def _is_number(v: Any) -> bool:
 
 
 def _number_list(doc: dict, key: str, errors: _Collector) -> list[float] | None:
-    value = doc.get(key)
-    if value is None:
+    if key not in doc:
         return None
+    value = doc[key]
     if not isinstance(value, list) or not all(_is_number(v) for v in value):
         errors.add(key, "must be an array of numbers")
         return None
@@ -174,9 +165,7 @@ def _parse_t_values(doc: dict, sweep: dict, errors: _Collector) -> list[float]:
 
 
 def _parse_sigma2_axis(sweep: dict, errors: _Collector) -> list[float] | None:
-    axis = sweep.get("sigma2")
-    if axis is None:
-        return None
+    axis = sweep["sigma2"]
     if isinstance(axis, list):
         if not axis or not all(_is_number(v) for v in axis):
             errors.add("sweep.sigma2", "must be a nonempty array of numbers")
@@ -288,19 +277,19 @@ def parse_instance(text: str) -> InstanceFile:
         sweep = {}
     t_values = _parse_t_values(doc, sweep, errors)
 
+    # each spec is built once per distinct value and shared by every
+    # variable that has it
     means = None
-    sigma2_values = None
-    per_var_sigma2 = None
-    moments = None
-    breakpoints = None
-    cond_means = None
-    cell_probs = None
+    spec_rows = None
 
     if information in ("mean", "variance", "conditional-means", "conditional-probs"):
         if information == "conditional-probs" and "p_list" in doc:
             errors.add("p_list", "conditional-probs instances use a single shared p")
-        resolved = _shared_or_per_var(doc, "p", "p_list", n, errors, _probability)
-        means = tuple(resolved) if resolved is not None else None
+        means = _shared_or_per_var(doc, "p", "p_list", n, errors, _probability)
+
+    if information == "mean" and means is not None:
+        mean_spec = functools.cache(MomentVector)
+        spec_rows = [tuple(mean_spec((p,)) for p in means)]
 
     if information == "moments":
         rows = _shared_or_per_var(doc, "moments", "moments_list", n, errors, _number_row)
@@ -308,54 +297,63 @@ def parse_instance(text: str) -> InstanceFile:
             errors.add("moments_list", "all variables must share the same moment order")
             rows = None
         if rows:
+            moment_spec = functools.cache(MomentVector)
+            specs = []
             for i, row in enumerate(rows):
                 try:
-                    MomentVector(row)
+                    specs.append(moment_spec(row))
                 except DomainError as exc:
                     errors.add(f"moments[{i}]" if "moments_list" in doc else "moments", str(exc))
-                    rows = None
                     break
-        moments = tuple(rows) if rows else None
+            else:
+                spec_rows = [tuple(specs)]
 
     if information == "variance":
+        sigma2_values: list[float] = []
+        per_var_sigma2 = None
         sources = [k for k in ("sigma2", "sigma2_list") if k in doc]
         if isinstance(sweep, dict) and "sigma2" in sweep:
             sources.append("sweep.sigma2")
         if len(sources) > 1:
             errors.add("sigma2", f"given more than once ({', '.join(sources)})")
         elif sources == ["sweep.sigma2"]:
-            axis = _parse_sigma2_axis(sweep, errors)
-            sigma2_values = tuple(axis) if axis else None
+            sigma2_values = _parse_sigma2_axis(sweep, errors) or []
         elif sources == ["sigma2_list"]:
             values = _number_list(doc, "sigma2_list", errors)
             if values is not None and len(values) != n:
                 errors.add("sigma2_list", f"must have exactly n={n} entries")
             elif values is not None:
-                per_var_sigma2 = tuple(values)
+                per_var_sigma2 = values
         elif sources == ["sigma2"]:
             if not _is_number(doc["sigma2"]):
                 errors.add("sigma2", "must be a number")
             else:
-                sigma2_values = (float(doc["sigma2"]),)
+                sigma2_values = [float(doc["sigma2"])]
         else:
             errors.add("sigma2", "required (sigma2, sigma2_list, or sweep.sigma2)")
         if means is not None:
+            variance_spec = functools.cache(VarianceClassSpec)
             if per_var_sigma2 is not None:
+                sigma2_rows = [per_var_sigma2]
                 pairs = [(p, s2, i) for i, (p, s2) in enumerate(zip(means, per_var_sigma2))]
-            elif sigma2_values is not None:
+            else:
+                sigma2_rows = [[s2] * n for s2 in sigma2_values]
                 pairs = [
                     (p, s2, i)
                     for i, s2 in enumerate(sigma2_values)
                     for p in set(means)
                 ]
-            else:
-                pairs = []
+            failed = False
             for p, s2, i in pairs:
                 try:
-                    VarianceClassSpec(p, s2)
+                    variance_spec(p, s2)
                 except DomainError as exc:
                     errors.add(f"sigma2[{i}]", str(exc))
+                    failed = True
+            if sigma2_rows and not failed:
+                spec_rows = [tuple(map(variance_spec, means, row)) for row in sigma2_rows]
 
+    partition = None
     if information in ("conditional-means", "conditional-probs"):
         row = _number_list(doc, "breakpoints", errors)
         if row is None:
@@ -363,39 +361,38 @@ def parse_instance(text: str) -> InstanceFile:
                 errors.add("breakpoints", "required")
         else:
             try:
-                breakpoints = PartitionSpec(tuple(row)).breakpoints
+                partition = PartitionSpec(tuple(row))
             except DomainError as exc:
                 errors.add("breakpoints", str(exc))
 
-    if information == "conditional-means" and breakpoints is not None and means is not None:
-        m = len(breakpoints) - 1
+    if information == "conditional-means" and partition is not None and means is not None:
+        m = partition.n_cells
         rows = _shared_or_per_var(doc, "mu", "mu_list", n, errors, _number_row)
         if rows:
-            partition = PartitionSpec(breakpoints)
+            cond_means_spec = functools.cache(ConditionalMeansSpec)
+            specs = []
             for i, row in enumerate(rows):
                 if len(row) != m:
                     errors.add(f"mu[{i}]", f"must have one entry per cell (m={m})")
-                    rows = None
                     break
                 try:
-                    ConditionalMeansSpec(partition, row, means[i])
+                    specs.append(cond_means_spec(partition, row, means[i]))
                 except DomainError as exc:
                     errors.add(f"mu[{i}]", str(exc))
-                    rows = None
                     break
-        cond_means = tuple(rows) if rows else None
+            else:
+                spec_rows = [tuple(specs)]
 
-    if information == "conditional-probs" and breakpoints is not None and means is not None:
+    if information == "conditional-probs" and partition is not None and means is not None:
         row = _number_list(doc, "q", errors)
         if row is None:
             if "q" not in doc:
                 errors.add("q", "required")
-        elif len(row) != len(breakpoints) - 1:
-            errors.add("q", f"must have one entry per cell (m={len(breakpoints) - 1})")
+        elif len(row) != partition.n_cells:
+            errors.add("q", f"must have one entry per cell (m={partition.n_cells})")
         else:
             try:
-                ConditionalProbsSpec(PartitionSpec(breakpoints), tuple(row), means[0])
-                cell_probs = tuple(row)
+                spec_rows = [(ConditionalProbsSpec(partition, tuple(row), means[0]),) * n]
             except DomainError as exc:
                 errors.add("q", str(exc))
 
@@ -403,8 +400,8 @@ def parse_instance(text: str) -> InstanceFile:
     p_bar = None
     if means is not None:
         p_bar = math.fsum(means) / n
-    elif moments is not None:
-        p_bar = math.fsum(row[0] for row in moments) / n
+    elif spec_rows is not None:
+        p_bar = math.fsum(spec.mean for spec in spec_rows[0]) / n
     for i, t in enumerate(t_values):
         label = "t" if len(t_values) == 1 and "t" in doc else f"sweep.t[{i}]"
         if p_bar is None:
@@ -418,19 +415,7 @@ def parse_instance(text: str) -> InstanceFile:
 
     if errors.violations:
         raise ValidationError(errors.violations)
-    return InstanceFile(
-        schema_version=SCHEMA_VERSION,
-        information=information,
-        n=n,
-        t_values=tuple(t_values),
-        means=means,
-        sigma2_values=sigma2_values,
-        per_var_sigma2=per_var_sigma2,
-        moments=moments,
-        breakpoints=breakpoints,
-        cond_means=cond_means,
-        cell_probs=cell_probs,
-    )
+    return InstanceFile(information, tuple(t_values), tuple(spec_rows))
 
 
 # -- serialization -----------------------------------------------------------------
@@ -524,10 +509,19 @@ def _round12(value: Any) -> Any:
     return value
 
 
+def _shared_or_list(doc: dict[str, Any], key: str, values: Sequence[Any]) -> None:
+    """Write a per-variable value once as ``key`` when every variable
+    shares it, else as ``<key>_list``."""
+    if len(set(values)) == 1:
+        doc[key] = _round12(values[0])
+    else:
+        doc[f"{key}_list"] = _round12(list(values))
+
+
 def emit_instance(inst: InstanceFile) -> str:
     """Serialize an instance back to canonical JSON (12 significant digits)."""
     doc: dict[str, Any] = {
-        "schema_version": inst.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "information": inst.information,
         "n": inst.n,
     }
@@ -535,30 +529,21 @@ def emit_instance(inst: InstanceFile) -> str:
         doc["t"] = _round12(inst.t_values[0])
     else:
         doc.setdefault("sweep", {})["t"] = _round12(list(inst.t_values))
-    if inst.means is not None:
-        if len(set(inst.means)) == 1:
-            doc["p"] = _round12(inst.means[0])
+    row = inst.spec_rows[0]
+    if inst.information == "moments":
+        _shared_or_list(doc, "moments", [spec.mu for spec in row])
+    else:
+        _shared_or_list(doc, "p", [spec.mean for spec in row])
+    if inst.information == "variance":
+        if len(inst.spec_rows) > 1:
+            sweep = [specs[0].sigma2 for specs in inst.spec_rows]
+            doc.setdefault("sweep", {})["sigma2"] = _round12(sweep)
         else:
-            doc["p_list"] = _round12(list(inst.means))
-    if inst.moments is not None:
-        if len(set(inst.moments)) == 1:
-            doc["moments"] = _round12(list(inst.moments[0]))
-        else:
-            doc["moments_list"] = _round12([list(r) for r in inst.moments])
-    if inst.per_var_sigma2 is not None:
-        doc["sigma2_list"] = _round12(list(inst.per_var_sigma2))
-    elif inst.sigma2_values is not None:
-        if len(inst.sigma2_values) == 1:
-            doc["sigma2"] = _round12(inst.sigma2_values[0])
-        else:
-            doc.setdefault("sweep", {})["sigma2"] = _round12(list(inst.sigma2_values))
-    if inst.breakpoints is not None:
-        doc["breakpoints"] = _round12(list(inst.breakpoints))
-    if inst.cond_means is not None:
-        if len(set(inst.cond_means)) == 1:
-            doc["mu"] = _round12(list(inst.cond_means[0]))
-        else:
-            doc["mu_list"] = _round12([list(r) for r in inst.cond_means])
-    if inst.cell_probs is not None:
-        doc["q"] = _round12(list(inst.cell_probs))
+            _shared_or_list(doc, "sigma2", [spec.sigma2 for spec in row])
+    if inst.information in ("conditional-means", "conditional-probs"):
+        doc["breakpoints"] = _round12(list(row[0].partition.breakpoints))
+    if inst.information == "conditional-means":
+        _shared_or_list(doc, "mu", [spec.mu for spec in row])
+    if inst.information == "conditional-probs":
+        doc["q"] = _round12(list(row[0].q))
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -94,6 +94,10 @@ class ConditionalMeansSpec:
             )
         object.__setattr__(self, "mu", mu)
 
+    @property
+    def mean(self) -> float:
+        return self.p
+
 
 @dataclass(frozen=True)
 class ConditionalProbsSpec:
@@ -124,6 +128,10 @@ class ConditionalProbsSpec:
                 f"feasible range is [{lo!r}, {hi!r}]"
             )
         object.__setattr__(self, "q", q)
+
+    @property
+    def mean(self) -> float:
+        return self.p
 
 
 def mix_envelope(x: DiscreteDist, partition: PartitionSpec) -> DiscreteDist:
@@ -167,11 +175,8 @@ def conditional_means_bound(
     n = len(specs)
     q_list, s_list, u_list = [], [], []
     for spec in specs:
+        # the spec guarantees mu_1 < r_1 <= r_{m-1} <= mu_m and mu_1 <= p <= mu_m
         mu1, mum = spec.mu[0], spec.mu[-1]
-        if mum <= mu1:
-            raise DomainError("degenerate mixture: mu_m must exceed mu_1")
-        if not mu1 <= spec.p <= mum:
-            raise DomainError("overall mean must lie between mu_1 and mu_m")
         q_list.append((mum - spec.p) / (mum - mu1))
         s_list.append((r[1] - mu1) / (r[1] - r[0]))
         u_list.append((r[m] - mum) / (r[m] - r[m - 1]))

@@ -8,7 +8,15 @@ from math import comb
 
 import numpy as np
 
-from tailbound import BoundTask, DiscreteDist, MomentVector
+from tailbound import (
+    BoundTask,
+    ConditionalMeansSpec,
+    ConditionalProbsSpec,
+    DiscreteDist,
+    MomentVector,
+    PartitionSpec,
+    VarianceClassSpec,
+)
 
 
 def binom_pmf_exact(n: int, k: int, p: Fraction) -> Fraction:
@@ -57,57 +65,45 @@ def moment_vector_of(dist: DiscreteDist, m: int) -> MomentVector:
 def random_mean_task(rng: np.random.Generator, n: int) -> BoundTask:
     means = tuple(rng.uniform(0.15, 0.85, n))
     t = _random_threshold(rng, n, float(np.mean(means)))
-    return BoundTask(information="mean", n=n, t=t, means=means)
+    return BoundTask("mean", t, tuple(MomentVector((p,)) for p in means))
 
 
 def random_moments_task(rng: np.random.Generator, n: int) -> BoundTask:
     m = int(rng.integers(2, 4))
-    rows = []
+    specs = []
     for _ in range(n):
         # bases with more than m+1 support points leave the moment class
         # with enough interior for the member sampler to hit
         base = random_unit_dist(rng, max_points=4, min_points=m + 1)
-        rows.append(tuple(base.moment(j) for j in range(1, m + 1)))
-    p_bar = float(np.mean([row[0] for row in rows]))
+        specs.append(moment_vector_of(base, m))
+    p_bar = float(np.mean([spec.mean for spec in specs]))
     t = _random_threshold(rng, n, p_bar)
-    return BoundTask(information="moments", n=n, t=t, moments=tuple(rows))
+    return BoundTask("moments", t, tuple(specs))
 
 
 def random_variance_task(rng: np.random.Generator, n: int) -> BoundTask:
     p = float(rng.uniform(0.2, 0.8))
     sigma2 = float(rng.uniform(0.05, 0.95)) * p * (1 - p)
     t = _random_threshold(rng, n, p)
-    return BoundTask(
-        information="variance", n=n, t=t, means=(p,) * n, sigma2s=(sigma2,) * n
-    )
+    return BoundTask("variance", t, (VarianceClassSpec(p, sigma2),) * n)
 
 
 def random_cond_means_task(rng: np.random.Generator, n: int) -> BoundTask:
     r1 = float(rng.uniform(0.25, 0.75))
-    breakpoints = (0.0, r1, 1.0)
-    rows = []
-    means = []
+    partition = PartitionSpec((0.0, r1, 1.0))
+    specs = []
     for _ in range(n):
         mu1 = float(rng.uniform(0.0, r1 * 0.95))
         mu2 = float(rng.uniform(r1, 1.0))
         p = float(rng.uniform(max(mu1, 0.02), min(mu2, 0.98)))
         p = min(max(p, mu1 + 1e-9), mu2 - 1e-9) if mu2 - mu1 > 2e-9 else p
-        rows.append((mu1, mu2))
-        means.append(p)
-    t = _random_threshold(rng, n, float(np.mean(means)))
-    return BoundTask(
-        information="conditional-means",
-        n=n,
-        t=t,
-        means=tuple(means),
-        breakpoints=breakpoints,
-        cond_means=tuple(rows),
-    )
+        specs.append(ConditionalMeansSpec(partition, (mu1, mu2), p))
+    t = _random_threshold(rng, n, float(np.mean([spec.mean for spec in specs])))
+    return BoundTask("conditional-means", t, tuple(specs))
 
 
 def random_cond_probs_task(rng: np.random.Generator, n: int) -> BoundTask:
     r1 = float(rng.uniform(0.25, 0.75))
-    breakpoints = (0.0, r1, 1.0)
     q1 = float(rng.uniform(0.15, 0.85))
     q = (q1, 1.0 - q1)
     lo = q[1] * r1
@@ -115,14 +111,8 @@ def random_cond_probs_task(rng: np.random.Generator, n: int) -> BoundTask:
     p = float(rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo)))
     p = min(max(p, 1e-6), 1 - 1e-6)
     t = _random_threshold(rng, n, p)
-    return BoundTask(
-        information="conditional-probs",
-        n=n,
-        t=t,
-        means=(p,) * n,
-        breakpoints=breakpoints,
-        cell_probs=q,
-    )
+    spec = ConditionalProbsSpec(PartitionSpec((0.0, r1, 1.0)), q, p)
+    return BoundTask("conditional-probs", t, (spec,) * n)
 
 
 def _random_threshold(rng: np.random.Generator, n: int, p_bar: float) -> float:

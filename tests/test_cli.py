@@ -1,12 +1,14 @@
 """End-to-end command-line behavior."""
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
 
 import pytest
 
+from tailbound import BoundReport, cli, instance_io
 from tailbound.cli import main
 
 MEAN_8 = {"schema_version": 1, "information": "mean", "n": 10, "p": 0.5, "t": 8}
@@ -135,19 +137,21 @@ def test_verify_clean_instance(tmp_path, capsys):
     assert "markov" in out and "hoeffding" in out
 
 
-def test_verify_detects_injected_corruption(tmp_path, capsys):
+def test_verify_detects_injected_corruption(tmp_path, capsys, monkeypatch):
     doc = {"schema_version": 1, "information": "mean", "n": 3, "p": 0.5, "t": 1.6}
     path = write_instance(tmp_path, doc)
-    code, out, err = run_cli(
-        capsys,
-        "verify",
-        path,
-        "--trials",
-        "300",
-        "--seed",
-        "7",
-        "--inject-corrupt",
-    )
+    compute_bounds = cli.compute_bounds
+
+    def halved(task, methods=None):
+        return [
+            dataclasses.replace(row, value=row.value / 2.0)
+            if isinstance(row, BoundReport)
+            else row
+            for row in compute_bounds(task, methods)
+        ]
+
+    monkeypatch.setattr(cli, "compute_bounds", halved)
+    code, out, err = run_cli(capsys, "verify", path, "--trials", "300", "--seed", "7")
     assert code == 1
     assert "counterexample" in err
 
@@ -180,9 +184,14 @@ def test_verify_oracle_resource_limit_is_input_error(tmp_path, capsys):
         "t": 5,
     }
     path = write_instance(tmp_path, doc)
-    code, _, err = run_cli(capsys, "verify", path, "--trials", "2", "--seed", "1")
+    code, out, err = run_cli(capsys, "verify", path, "--trials", "2", "--seed", "1")
     assert code == 2
+    assert out == ""
     assert "error: convolution support would exceed" in err
+
+
+def test_every_information_level_has_methods():
+    assert set(cli._LEVELS) == set(instance_io.INFORMATION_LEVELS)
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +233,15 @@ def test_figure1_grid_excludes_zero_variance(figure_dir):
     sigmas = [float(r["sigma2"]) for r in rows]
     assert min(sigmas) > 0.0
     assert max(sigmas) == pytest.approx(0.25 * 0.75)
+
+
+def test_figure1_skipped_method_is_input_error(tmp_path, capsys, monkeypatch):
+    # t = 25 lies above n = 20, outside every method's regime
+    monkeypatch.setattr(cli, "FIGURE_PANELS", ((0.25, (25,)),))
+    code, out, err = run_cli(capsys, "figure1", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and "bennett skipped" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_figure1_unwritable_target(tmp_path, capsys):

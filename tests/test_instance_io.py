@@ -1,17 +1,33 @@
 """Instance parsing, validation-error collection, and result serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from tailbound import (
     BoundReport,
+    ConditionalMeansSpec,
+    ConditionalProbsSpec,
+    MomentVector,
     SkippedMethod,
     ValidationError,
+    VarianceClassSpec,
     emit_instance,
     emit_results,
     parse_instance,
 )
+from tailbound.cli import class_specs_for_task
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+#: the class spec every variable of a task has, per information level
+LEVEL_SPEC = {
+    "mean": MomentVector,
+    "moments": MomentVector,
+    "variance": VarianceClassSpec,
+    "conditional-means": ConditionalMeansSpec,
+    "conditional-probs": ConditionalProbsSpec,
+}
 
 MEAN_INSTANCE = json.dumps(
     {"schema_version": 1, "information": "mean", "n": 10, "p": 0.5, "t": 8}
@@ -21,10 +37,11 @@ MEAN_INSTANCE = json.dumps(
 def test_minimal_mean_instance():
     inst = parse_instance(MEAN_INSTANCE)
     assert inst.n == 10
-    assert inst.means == (0.5,) * 10
     assert inst.t_values == (8.0,)
     tasks = inst.tasks()
     assert len(tasks) == 1 and tasks[0].t == 8.0
+    assert tasks[0].means == (0.5,) * 10
+    assert tasks[0].specs == (MomentVector((0.5,)),) * 10
 
 
 def test_threshold_must_exceed_mean():
@@ -88,9 +105,27 @@ def test_variance_sweep_parses_to_tasks():
         }
     )
     inst = parse_instance(doc)
+    assert [row[0].sigma2 for row in inst.spec_rows] == [0.05, 0.15, 0.25]
     tasks = inst.tasks()
     assert [task.sigma2_label for task in tasks] == [0.05, 0.15, 0.25]
     assert all(task.t == 12.0 for task in tasks)
+    for task, row in zip(tasks, inst.spec_rows):
+        assert task.specs is row
+        assert set(task.specs) == {VarianceClassSpec(0.5, task.sigma2_label)}
+        assert task.n == 20 and task.sigma2s == (task.sigma2_label,) * 20
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_tasks_carry_level_specs(name):
+    inst = parse_instance((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    tasks = inst.tasks()
+    assert len(tasks) == len(inst.spec_rows) * len(inst.t_values)
+    for task in tasks:
+        assert task.information == inst.information
+        assert len(task.specs) == inst.n
+        assert all(type(spec) is LEVEL_SPEC[task.information] for spec in task.specs)
+        assert class_specs_for_task(task) is task.specs
+        assert task.means == tuple(spec.mean for spec in task.specs)
 
 
 def test_conditional_instances_validated():
@@ -105,8 +140,9 @@ def test_conditional_instances_validated():
             "t": 3,
         }
     )
-    inst = parse_instance(doc)
-    assert inst.cond_means == ((0.2, 0.5, 0.8),) * 4
+    (task,) = parse_instance(doc).tasks()
+    assert [spec.mu for spec in task.specs] == [(0.2, 0.5, 0.8)] * 4
+    assert task.means == (0.5,) * 4
 
     bad = json.dumps(
         {
@@ -122,6 +158,25 @@ def test_conditional_instances_validated():
     with pytest.raises(ValidationError) as err:
         parse_instance(bad)
     assert any("unreachable" in v for v in err.value.violations)
+
+
+def test_null_arrays_are_violations():
+    docs = [
+        ("sigma2_list", {"information": "variance", "n": 3, "p": 0.2, "sigma2_list": None}),
+        ("sweep.sigma2", {"information": "variance", "n": 3, "p": 0.2, "sweep": {"sigma2": None}}),
+        (
+            "breakpoints",
+            {"information": "conditional-means", "n": 3, "p": 0.3, "breakpoints": None, "mu": [0.1, 0.7]},
+        ),
+        (
+            "q",
+            {"information": "conditional-probs", "n": 3, "p": 0.3, "breakpoints": [0, 0.4, 1], "q": None},
+        ),
+    ]
+    for path, doc in docs:
+        with pytest.raises(ValidationError) as err:
+            parse_instance(json.dumps({"schema_version": 1, "t": 2, **doc}))
+        assert any(v.startswith(f"{path}: must be an array") for v in err.value.violations), path
 
 
 def report(method, value, sigma2=None, **kw):
