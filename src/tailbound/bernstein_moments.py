@@ -118,34 +118,25 @@ def t_nm_distribution(mvs: Sequence[MomentVector]) -> DiscreteDist:
     return DiscreteDist(support, probs)
 
 
-def _mean_threshold(mvs: Sequence[MomentVector], t: float) -> float:
+def _require_mean_regime(mvs: Sequence[MomentVector], t: float) -> None:
     n = len(mvs)
-    mean = fsum(mv.mean for mv in mvs) / n
-    require_regime(n, mean, t)
-    return mean
+    require_regime(n, fsum(mv.mean for mv in mvs) / n, t)
 
 
 def exp_moment_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     """inf over h > 0 of exp(-h t) (sum_j pi_j exp(h j / m))^n, with pi the
     averaged lattice weights."""
-    mean = _mean_threshold(mvs, t)
+    _require_mean_regime(mvs, t)
     dist = t_nm_distribution(mvs)
     value, h_star = minimize_exp_tail(dist.support, dist.probs, len(mvs), t)
-    return make_report(
-        "exp_moment",
-        value,
-        {"h": h_star},
-        n=len(mvs),
-        p_or_q1=mean,
-        t=t,
-    )
+    return make_report("exp_moment", value, {"h": h_star})
 
 
 def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     """Optimal piecewise-linear bound against the exact convolution of the
     per-variable lattice distributions on the grid {0, ..., n*m}/m."""
     m = _shared_order(mvs)
-    mean = _mean_threshold(mvs, t)
+    _require_mean_regime(mvs, t)
     n = len(mvs)
     if n * m > MAX_GRID_POINTS:
         raise ResourceLimitError(
@@ -153,14 +144,7 @@ def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
         )
     total = convolve([bernstein_weights(mv) for mv in mvs])
     value, a_star = best_linear_cut(total, t)
-    return make_report(
-        "z_nm",
-        value,
-        {"epsilon": a_star},
-        n=n,
-        p_or_q1=mean,
-        t=t,
-    )
+    return make_report("z_nm", value, {"epsilon": a_star})
 
 
 def power_mean_sequence(mvs: Sequence[MomentVector]) -> list[float]:
@@ -213,14 +197,7 @@ def refined_binomial_bound(mvs: Sequence[MomentVector], t: int) -> BoundReport:
         raw = factor * upper_tail(BinomialSpec(n * s, q), cut)
         if best_raw is None or raw < best_raw:
             best_raw, best_s = raw, s
-    return make_report(
-        "refined_binomial",
-        best_raw,
-        {"s": float(best_s)},
-        n=n,
-        p_or_q1=qs[0],
-        t=float(t),
-    )
+    return make_report("refined_binomial", best_raw, {"s": float(best_s)})
 
 
 def cohen_extremal(p: float, sigma2: float) -> DiscreteDist:

@@ -77,7 +77,8 @@ class BoundReport:
 
     ``clamped`` is set exactly when the raw formula exceeded one and the
     value was clipped.  The trailing context fields carry the instance the
-    bound was computed for; they exist for serialization and may be None.
+    bound was computed for; the bound functions leave them None and
+    ``cli.compute_bounds`` sets them for serialization.
     """
 
     method: str
@@ -91,19 +92,12 @@ class BoundReport:
 
 
 def make_report(
-    method: str,
-    raw: float,
-    witness: Mapping[str, Any] | None = None,
-    *,
-    n: int | None = None,
-    p_or_q1: float | None = None,
-    sigma2: float | None = None,
-    t: float | None = None,
+    method: str, raw: float, witness: Mapping[str, Any] | None = None
 ) -> BoundReport:
     """Clamp a raw bound into [0, 1] and wrap it in a report."""
     clamped = raw > 1.0
     value = 1.0 if clamped else max(0.0, raw)
-    return BoundReport(method, value, witness, clamped, n, p_or_q1, sigma2, t)
+    return BoundReport(method, value, witness, clamped)
 
 
 def markov_bound(total_mean: float, t: float) -> BoundReport:
@@ -112,7 +106,7 @@ def markov_bound(total_mean: float, t: float) -> BoundReport:
         raise DomainError("t must be positive")
     if total_mean < 0.0:
         raise DomainError("total_mean must be nonnegative")
-    return make_report("markov", total_mean / t, t=t)
+    return make_report("markov", total_mean / t)
 
 
 def _log_hoeffding(n: int, p: float, t: float) -> float:
@@ -131,21 +125,14 @@ def hoeffding_bound(inst: MeanInstance) -> BoundReport:
     """The optimized exponential-moment bound
     (p(n-t)/(t(1-p)))^t ((1-p)n/(n-t))^n, computed in log space."""
     value = exp(_log_hoeffding(inst.n, inst.p, inst.t))
-    return make_report(
-        "hoeffding",
-        value,
-        {"h": optimal_exp_rate(inst)},
-        n=inst.n,
-        p_or_q1=inst.p,
-        t=inst.t,
-    )
+    return make_report("hoeffding", value, {"h": optimal_exp_rate(inst)})
 
 
 def hoeffding_exp_bound(inst: MeanInstance) -> BoundReport:
     """The looser but more common form exp(-2 n (t/n - p)^2)."""
     n, p, t = inst.n, inst.p, inst.t
     value = exp(-2.0 * n * (t / n - p) ** 2)
-    return make_report("hoeffding_exp", value, n=n, p_or_q1=p, t=t)
+    return make_report("hoeffding_exp", value)
 
 
 def bennett_bound(n: int, vclass: VarianceClassSpec, t: float) -> BoundReport:
@@ -161,12 +148,4 @@ def bennett_bound(n: int, vclass: VarianceClassSpec, t: float) -> BoundReport:
     if beta >= 1.0:
         raise DomainError("threshold too large: mixture parameter reached 1")
     log_value = n * (beta * log(alpha / beta) + (1.0 - beta) * log((1.0 - alpha) / (1.0 - beta)))
-    return make_report(
-        "bennett",
-        exp(log_value),
-        {"alpha": alpha, "beta": beta},
-        n=n,
-        p_or_q1=p,
-        sigma2=s2,
-        t=t,
-    )
+    return make_report("bennett", exp(log_value), {"alpha": alpha, "beta": beta})

@@ -67,12 +67,6 @@ def _mean_instance(task: BoundTask) -> MeanInstance:
     return MeanInstance.from_means(task.means, task.t)
 
 
-def _markov(task: BoundTask) -> BoundReport:
-    total_mean = math.fsum(task.means)
-    report = markov_bound(total_mean, task.t)
-    return dataclasses.replace(report, n=task.n, p_or_q1=total_mean / task.n)
-
-
 def _variance_moment_vectors(task: BoundTask) -> list[MomentVector]:
     # variance tasks feed the lattice machinery through (p, sigma2 + p^2)
     return [MomentVector((s.p, s.sigma2 + s.p * s.p)) for s in task.specs]
@@ -90,7 +84,7 @@ def _bennett(task: BoundTask) -> BoundReport:
 #: so the ``mean`` level's methods apply to all of them
 _LEVELS: dict[str, dict[str, Callable[[BoundTask], BoundReport]]] = {
     "mean": {
-        "markov": _markov,
+        "markov": lambda task: markov_bound(math.fsum(task.means), task.t),
         "hoeffding": lambda task: hoeffding_bound(_mean_instance(task)),
         "hoeffding_exp": lambda task: hoeffding_exp_bound(_mean_instance(task)),
         "bentkus_linear": lambda task: bentkus_linear_bound(_mean_instance(task)),
@@ -122,7 +116,9 @@ def compute_bounds(
     task: BoundTask, methods: Sequence[str] | None = None
 ) -> list[ResultRow]:
     """Every applicable bound for one task; inapplicable methods become
-    :class:`SkippedMethod` rows carrying the reason."""
+    :class:`SkippedMethod` rows carrying the reason.  Every row, computed
+    or skipped, is labelled with the task's n, average mean, sigma2 label
+    and threshold."""
     available = {**_LEVELS["mean"], **_LEVELS[task.information]}
     selected = list(available) if methods is None else list(methods)
     unknown = [m for m in selected if m not in available]
@@ -131,32 +127,18 @@ def compute_bounds(
             f"unknown method(s) {', '.join(unknown)}; "
             f"available for {task.information}: {', '.join(available)}"
         )
-    p_bar = math.fsum(task.means) / task.n
+    context = {
+        "n": task.n,
+        "p_or_q1": math.fsum(task.means) / task.n,
+        "sigma2": task.sigma2_label,
+        "t": task.t,
+    }
     rows: list[ResultRow] = []
     for name in selected:
         try:
-            report = available[name](task)
+            rows.append(dataclasses.replace(available[name](task), **context))
         except (DomainError, ResourceLimitError) as exc:
-            rows.append(
-                SkippedMethod(
-                    method=name,
-                    reason=str(exc),
-                    n=task.n,
-                    p_or_q1=p_bar,
-                    sigma2=task.sigma2_label,
-                    t=task.t,
-                )
-            )
-            continue
-        rows.append(
-            dataclasses.replace(
-                report,
-                n=report.n if report.n is not None else task.n,
-                p_or_q1=report.p_or_q1 if report.p_or_q1 is not None else p_bar,
-                sigma2=task.sigma2_label,
-                t=report.t if report.t is not None else task.t,
-            )
-        )
+            rows.append(SkippedMethod(name, str(exc), **context))
     return rows
 
 

@@ -40,14 +40,7 @@ def bentkus_linear_bound(inst: MeanInstance) -> BoundReport:
     broken toward the largest j for deterministic output.
     """
     value, j_star = best_linear_cut(binomial_dist(BinomialSpec(inst.n, inst.p)), inst.t)
-    return make_report(
-        "bentkus_linear",
-        value,
-        {"epsilon": j_star},
-        n=inst.n,
-        p_or_q1=inst.p,
-        t=inst.t,
-    )
+    return make_report("bentkus_linear", value, {"epsilon": j_star})
 
 
 def missing_factor_threshold(n: int, p: float) -> float:
@@ -83,14 +76,7 @@ def missing_factor_bound(inst: MeanInstance) -> BoundReport:
     correction = sum(exp(h * (i - t) + log_pmf(spec, i)) for i in range(t))
     point_mass = exp(log_pmf(spec, t))
     raw = factor * (hoeffding_value - correction) + (1.0 - factor) * point_mass
-    return make_report(
-        "missing_factor",
-        raw,
-        {"h": h, "factor": factor},
-        n=n,
-        p_or_q1=p,
-        t=inst.t,
-    )
+    return make_report("missing_factor", raw, {"h": h, "factor": factor})
 
 
 def binomial_comparison_bound(inst: MeanInstance) -> BoundReport:
@@ -100,11 +86,4 @@ def binomial_comparison_bound(inst: MeanInstance) -> BoundReport:
     t = _require_integer_t(inst.t, "the binomial comparison bound")
     factor = (t - t * p) / (t - n * p)
     raw = factor * upper_tail(BinomialSpec(n, p), t)
-    return make_report(
-        "binomial_comparison",
-        raw,
-        {"factor": factor},
-        n=n,
-        p_or_q1=p,
-        t=inst.t,
-    )
+    return make_report("binomial_comparison", raw, {"factor": factor})

@@ -176,10 +176,11 @@ def _parse_sigma2_axis(sweep: dict, errors: _Collector) -> list[float] | None:
         if missing or not all(_is_number(axis[k]) for k in ("start", "stop", "points")):
             errors.add("sweep.sigma2", "grid form needs numeric start, stop, points")
             return None
-        points = int(axis["points"])
-        if points < 1:
-            errors.add("sweep.sigma2.points", "must be at least 1")
+        points = axis["points"]
+        if not float(points).is_integer() or points < 1:
+            errors.add("sweep.sigma2.points", "must be a positive integer")
             return None
+        points = int(points)
         start, stop = float(axis["start"]), float(axis["stop"])
         if points == 1:
             return [stop]
@@ -214,7 +215,8 @@ def _shared_or_per_var(
     """Resolve a parameter given either once or per variable into n values.
 
     ``entry`` converts one variable's raw value or raises DomainError; the
-    first failure is recorded under ``shared_key[i]`` and None returned.
+    first failure is recorded under ``shared_key[i]`` and None returned.  A
+    shared value is converted once and repeated.
     """
     has_shared = shared_key in doc
     has_list = list_key in doc
@@ -222,7 +224,7 @@ def _shared_or_per_var(
         errors.add(shared_key, f"give either {shared_key} or {list_key}, not both")
         return None
     if has_shared:
-        raw = [doc[shared_key]] * n
+        raw = [doc[shared_key]]
     elif has_list:
         raw = doc[list_key]
         if not isinstance(raw, list) or len(raw) != n:
@@ -238,7 +240,7 @@ def _shared_or_per_var(
         except DomainError as exc:
             errors.add(f"{shared_key}[{i}]", str(exc))
             return None
-    return values
+    return values if has_list else values * n
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -435,27 +437,15 @@ def _fmt(value: Any) -> str:
 
 
 def _row_fields(row: ResultRow) -> dict[str, Any]:
-    if isinstance(row, SkippedMethod):
-        return {
-            "method": row.method,
-            "value": None,
-            "witness_h": None,
-            "witness_eps": None,
-            "witness_s": None,
-            "clamped": None,
-            "n": row.n,
-            "p_or_q1": row.p_or_q1,
-            "sigma2": row.sigma2,
-            "t": row.t,
-        }
-    witness = row.witness or {}
+    computed = isinstance(row, BoundReport)
+    witness = (row.witness or {}) if computed else {}
     return {
         "method": row.method,
-        "value": row.value,
+        "value": row.value if computed else None,
         "witness_h": witness.get("h"),
         "witness_eps": witness.get("epsilon"),
         "witness_s": witness.get("s"),
-        "clamped": row.clamped,
+        "clamped": row.clamped if computed else None,
         "n": row.n,
         "p_or_q1": row.p_or_q1,
         "sigma2": row.sigma2,

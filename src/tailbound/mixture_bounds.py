@@ -194,9 +194,6 @@ def conditional_means_bound(
         "conditional_means",
         value,
         {"h": h_star, "pi1": pi1, "pi2": pi2, "pi3": pi3, "pi4": pi4},
-        n=n,
-        p_or_q1=p_bar,
-        t=t,
     )
 
 
@@ -222,7 +219,8 @@ def _lp_extremal_means(spec: ConditionalProbsSpec) -> tuple[float, ...]:
             continue
         capacity = spec.q[j - 1] * (r[j] - r[j - 1])
         take = min(budget, capacity)
-        mus[j - 1] += take / spec.q[j - 1]
+        # rounding must not push a filled mean past its cell's upper endpoint
+        mus[j - 1] = min(mus[j - 1] + take / spec.q[j - 1], r[j])
         budget -= take
     return tuple(mus)
 
@@ -241,26 +239,16 @@ def conditional_probs_bound(
     p = spec.p
     h = optimal_exp_rate(MeanInstance(n, p, t))
     mus = _lp_extremal_means(spec)
-    r = spec.partition.breakpoints
-    pairs = []
-    for j, (qj, mu) in enumerate(zip(spec.q, mus), start=1):
-        if qj == 0.0:
-            continue
-        width = r[j] - r[j - 1]
-        left_share = (r[j] - mu) / width
-        pairs.append((r[j - 1], qj * left_share))
-        pairs.append((r[j], qj * (1.0 - left_share)))
-    xi = DiscreteDist.from_pairs(pairs)
+    # a full cell's mean equals the next cell's lower endpoint, so only the
+    # cells with mass keep the support strictly ascending
+    active = [(mu, qj) for mu, qj in zip(mus, spec.q) if qj > 0.0]
+    xi = mix_envelope(
+        DiscreteDist(tuple(mu for mu, _ in active), tuple(qj for _, qj in active)),
+        spec.partition,
+    )
     mgf = fsum(q * exp(h * s) for s, q in zip(xi.support, xi.probs))
     value = exp(-h * t + n * log(mgf))
-    return make_report(
-        "conditional_probs",
-        value,
-        {"h": h, "mu": mus, "xi": xi},
-        n=n,
-        p_or_q1=p,
-        t=t,
-    )
+    return make_report("conditional_probs", value, {"h": h, "mu": mus, "xi": xi})
 
 
 def xi_distribution(vclass: VarianceClassSpec) -> DiscreteDist:
@@ -304,14 +292,4 @@ def xi_sum_bound(vclasses: Sequence[VarianceClassSpec], t: float) -> BoundReport
     require_regime(n, p_bar, t)
     total = convolve([xi_distribution(v) for v in vclasses])
     best_value, best_eps = best_linear_cut(total, t)
-    sigma2s = {v.sigma2 for v in vclasses}
-    shared_sigma2 = sigma2s.pop() if len(sigma2s) == 1 else None
-    return make_report(
-        "xi_sum",
-        best_value,
-        {"epsilon": best_eps},
-        n=n,
-        p_or_q1=p_bar,
-        sigma2=shared_sigma2,
-        t=t,
-    )
+    return make_report("xi_sum", best_value, {"epsilon": best_eps})

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,15 @@ def test_verify_oracle_resource_limit_is_input_error(tmp_path, capsys):
 
 def test_every_information_level_has_methods():
     assert set(cli._LEVELS) == set(instance_io.INFORMATION_LEVELS)
+
+
+def test_readme_method_table_lists_every_method():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Methods", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+    methods = {name for level in cli._LEVELS.values() for name in level}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == methods
 
 
 @pytest.fixture(scope="module")

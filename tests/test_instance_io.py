@@ -1,6 +1,7 @@
 """Instance parsing, validation-error collection, and result serialization."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -9,15 +10,19 @@ from tailbound import (
     BoundReport,
     ConditionalMeansSpec,
     ConditionalProbsSpec,
+    MeanInstance,
     MomentVector,
     SkippedMethod,
     ValidationError,
     VarianceClassSpec,
     emit_instance,
     emit_results,
+    hoeffding_bound,
+    instance_io,
     parse_instance,
+    xi_sum_bound,
 )
-from tailbound.cli import class_specs_for_task
+from tailbound.cli import class_specs_for_task, compute_bounds
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 #: the class spec every variable of a task has, per information level
@@ -126,6 +131,16 @@ def test_tasks_carry_level_specs(name):
         assert all(type(spec) is LEVEL_SPEC[task.information] for spec in task.specs)
         assert class_specs_for_task(task) is task.specs
         assert task.means == tuple(spec.mean for spec in task.specs)
+        # compute_bounds labels every row, computed or skipped, with the task
+        context = (task.n, math.fsum(task.means) / task.n, task.sigma2_label, task.t)
+        for row in compute_bounds(task):
+            assert (row.n, row.p_or_q1, row.sigma2, row.t) == context, row.method
+        # the bound functions themselves return no context
+        direct = [hoeffding_bound(MeanInstance.from_means(task.means, task.t))]
+        if task.information == "variance":
+            direct.append(xi_sum_bound(task.specs, task.t))
+        for report in direct:
+            assert (report.n, report.p_or_q1, report.sigma2, report.t) == (None,) * 4
 
 
 def test_conditional_instances_validated():
@@ -181,6 +196,40 @@ def test_null_arrays_are_violations():
 
 def report(method, value, sigma2=None, **kw):
     return BoundReport(method=method, value=value, sigma2=sigma2, **kw)
+
+
+def test_shared_value_validated_once(monkeypatch):
+    calls = []
+    probability = instance_io._probability
+
+    def counting(value):
+        calls.append(value)
+        return probability(value)
+
+    monkeypatch.setattr(instance_io, "_probability", counting)
+    doc = {"schema_version": 1, "information": "mean", "n": 1000, "p": 0.3, "t": 400}
+    (task,) = parse_instance(json.dumps(doc)).tasks()
+    assert calls == [0.3]
+    assert task.means == (0.3,) * 1000
+    doc["p"] = 1.5
+    with pytest.raises(ValidationError) as err:
+        parse_instance(json.dumps(doc))
+    assert err.value.violations == ("p[0]: must lie in (0, 1), got 1.5",)
+
+
+@pytest.mark.parametrize("points", [2.9, 0.5, 0, -3])
+def test_sigma2_grid_points_must_be_positive_integer(points):
+    doc = {
+        "schema_version": 1,
+        "information": "variance",
+        "n": 20,
+        "p": 0.5,
+        "t": 12,
+        "sweep": {"sigma2": {"start": 0.05, "stop": 0.2, "points": points}},
+    }
+    with pytest.raises(ValidationError) as err:
+        parse_instance(json.dumps(doc))
+    assert err.value.violations == ("sweep.sigma2.points: must be a positive integer",)
 
 
 def test_emit_single_row():

@@ -142,6 +142,17 @@ def test_conditional_probs_vertex_solution():
     assert interior <= 1
 
 
+def test_conditional_probs_filled_mean_stays_in_its_cell():
+    # the greedy fill of the top cell rounds to 1 + 2**-52 without the clamp
+    partition = PartitionSpec((0.0, 0.2, 1.0))
+    spec = ConditionalProbsSpec(
+        partition, (0.5752562374753217, 0.42474376252467827), 0.45059192852232355
+    )
+    report = conditional_probs_bound(spec, 255, 158.8457128826761)
+    assert report.witness["mu"][-1] == 1.0
+    assert report.value == pytest.approx(7.226340914737733e-08, rel=1e-12)
+
+
 def test_conditional_probs_never_exceeds_mean_only_bound():
     rng = np.random.default_rng(61)
     for _ in range(50):
