@@ -48,10 +48,10 @@ class MomentVector:
             raise DomainError("at least one moment is required")
         if not 0.0 < mu[0] < 1.0:
             raise DomainError("mu_1 must lie in (0, 1)")
-        if mu[-1] <= 0.0:
+        if not mu[-1] > 0.0:
             raise DomainError("all moments must be positive")
         for j, (a, b) in enumerate(zip(mu, mu[1:]), start=1):
-            if b > a + 1e-12:
+            if not b <= a + 1e-12:
                 raise DomainError(
                     f"moment sequence must be nonincreasing: mu_{j + 1}={b!r} > mu_{j}={a!r}"
                 )

@@ -43,6 +43,7 @@ from .instance_io import (
     ResultRow,
     SkippedMethod,
     emit_results,
+    format_field,
     parse_instance,
 )
 from .mixture_bounds import (
@@ -196,11 +197,8 @@ def cmd_verify(path: str, trials: int, seed: int) -> int:
                 _print_input_error(exc)
                 return 2
             total_violations += len(report.violations)
-            lines.append(
-                f"{row.method},{task.t:.12g},"
-                f"{'' if task.sigma2_label is None else format(task.sigma2_label, '.12g')},"
-                f"{row.value:.12g},{report.max_tail:.12g},{len(report.violations)}"
-            )
+            fields = (row.method, task.t, task.sigma2_label, row.value, report.max_tail)
+            lines.append(",".join(map(format_field, (*fields, len(report.violations)))))
             for violation in report.violations:
                 members = "; ".join(
                     f"support={tuple(round(s, 6) for s in m.support)} "
@@ -240,7 +238,7 @@ def cmd_figure1(outdir: str) -> int:
                 name = f"fig1_p{int(round(p * 100))}_t{t}.csv"
                 lines = ["sigma2,bennett,momopt,xitheorem"]
                 for row in _figure_rows(p, t):
-                    lines.append(",".join(f"{v:.12g}" for v in row))
+                    lines.append(",".join(format_field(v) for v in row))
                 content = "\n".join(lines) + "\n"
                 fd, tmp_path = tempfile.mkstemp(dir=outdir, suffix=".tmp")
                 try:

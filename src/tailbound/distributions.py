@@ -2,16 +2,19 @@
 
 ``DiscreteDist`` is the shared currency of the package: envelope
 constructions, exact convolutions and the order-checking oracle all speak
-it.  Probabilities are plain floats; every summation goes through
-``math.fsum`` so results track the exact values to within a few ulp at the
-support sizes that occur here.
+it.  Probabilities are plain floats; queries sum with ``math.fsum``, and the
+merge and the linear cut sum small groups or nonnegative terms, so results
+track the exact values to within a few ulp at the support sizes here.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
@@ -56,8 +59,8 @@ class DiscreteDist:
             if not a < b:
                 raise DomainError("support must be strictly ascending")
         for q in probs:
-            if q < NEG_PROB_FLOOR:
-                raise DomainError(f"negative probability {q!r}")
+            if not q >= NEG_PROB_FLOOR:
+                raise DomainError(f"probability {q!r} is negative or not a number")
         probs = [q if q > 0.0 else 0.0 for q in probs]
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -74,8 +77,8 @@ class DiscreteDist:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "DiscreteDist":
         """Build from (value, probability) pairs, merging nearby values."""
-        support, probs = _merge_pairs(pairs)
-        return cls(tuple(support), tuple(probs))
+        values, probs = np.array(list(pairs), dtype=float).reshape(-1, 2).T
+        return cls(*_merged(values, probs))
 
     # -- queries ---------------------------------------------------------------
 
@@ -114,34 +117,30 @@ class DiscreteDist:
         )
 
 
-def _merge_pairs(pairs: Iterable[tuple[float, float]]) -> tuple[list[float], list[float]]:
+def _merged(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort (value, prob) pairs and merge values within tolerance.
 
-    Merged points take the probability-weighted mean of their members, which
-    preserves the distribution mean exactly.
+    Grouping is neighbour-to-neighbour: a new point starts where sorted
+    neighbours a <= b fail ``same_point``, whose scale max(1, |a|, |b|) is
+    then max(1, b, -a).  A merged point is the probability-weighted mean of
+    its members, which keeps the mean, clipped to their span because with
+    subnormal masses that ratio keeps only a few bits; a zero-mass group
+    keeps its first member.
     """
-    items = sorted((float(s), float(q)) for s, q in pairs)
-    if not items:
+    if not values.size:
         raise DomainError("no support points")
-    support: list[float] = []
-    probs: list[float] = []
-    groups: list[list[tuple[float, float]]] = []
-    anchor = None
-    for s, q in items:
-        if anchor is not None and same_point(anchor, s):
-            groups[-1].append((s, q))
-        else:
-            groups.append([(s, q)])
-            anchor = s
-    for group in groups:
-        mass = math.fsum(q for _, q in group)
-        if mass > 0.0:
-            value = math.fsum(s * q for s, q in group) / mass
-        else:
-            value = group[0][0]
-        support.append(value)
-        probs.append(mass)
-    return support, probs
+    order = np.argsort(values, kind="stable")
+    values, probs = values[order], probs[order]
+    low, high = values[:-1], values[1:]
+    scale = np.maximum(np.maximum(high, -1.0 * low), 1.0)
+    new = np.concatenate(([True], high - low > MERGE_REL_TOL * scale))
+    starts = np.flatnonzero(new)
+    mass = np.add.reduceat(probs, starts)
+    first, last = values[new], values[np.append(new[1:], True)]
+    weighted = np.add.reduceat(values * probs, starts)
+    with np.errstate(invalid="ignore"):  # a zero-mass group divides 0 by 0
+        mean = np.where(mass > 0.0, weighted / mass, first)
+    return np.clip(mean, first, last), mass
 
 
 def convolve(dists: Sequence[DiscreteDist]) -> DiscreteDist:
@@ -151,22 +150,20 @@ def convolve(dists: Sequence[DiscreteDist]) -> DiscreteDist:
     The output is renormalized, and flagged as such, only when the total
     mass drifts from one by more than ``1e-12``.
     """
-    acc_support: list[float] = [0.0]
-    acc_probs: list[float] = [1.0]
+    acc_support, acc_probs = np.zeros(1), np.ones(1)
     for dist in dists:
-        live = [(s, q) for s, q in zip(dist.support, dist.probs) if q > 0.0]
-        if len(acc_support) * len(live) > MAX_SUPPORT_POINTS:
+        live = np.array(dist.probs) > 0.0
+        support, probs = np.array(dist.support)[live], np.array(dist.probs)[live]
+        if acc_support.size * support.size > MAX_SUPPORT_POINTS:
             raise ResourceLimitError(
                 "convolution support would exceed "
                 f"{MAX_SUPPORT_POINTS} points; coarsen the inputs"
             )
-        pairs = [
-            (s0 + s1, q0 * q1)
-            for s0, q0 in zip(acc_support, acc_probs)
-            for s1, q1 in live
-        ]
-        acc_support, acc_probs = _merge_pairs(pairs)
-    return renormalized_dist(acc_support, acc_probs)
+        acc_support, acc_probs = _merged(
+            np.add.outer(acc_support, support).ravel(),
+            np.multiply.outer(acc_probs, probs).ravel(),
+        )
+    return renormalized_dist(acc_support.tolist(), acc_probs.tolist())
 
 
 def renormalized_dist(support: Sequence[float], probs: Sequence[float]) -> DiscreteDist:
@@ -186,11 +183,16 @@ def best_linear_cut(dist: DiscreteDist, t: float) -> tuple[float, float]:
 
     Between support points the ratio is monotone in a, so only these
     candidates can be optimal.  Ties break toward the largest candidate.
+    Excesses accumulate from the top in linear time, adding nonnegative
+    terms: E[(X-s_i)+] = E[(X-s_{i+1})+] + (s_{i+1}-s_i) P[X > s_i].
     Returns (value, a_star).
     """
-    best_value, best_a = None, None
-    for a in [0.0] + [s for s in dist.support if 0.0 < s < t]:
-        value = dist.expected_positive_part(a) / (t - a)
-        if best_value is None or value <= best_value:
-            best_value, best_a = value, a
-    return best_value, best_a
+    support = np.array(dist.support)
+    above = np.cumsum(dist.probs[:0:-1])[::-1]
+    excess = np.append(np.cumsum((np.diff(support) * above)[::-1])[::-1], 0.0)
+    at_zero = excess[0] + support[0] if support[0] >= 0.0 else dist.expected_positive_part(0.0)
+    inside = slice(bisect_right(dist.support, 0.0), bisect_left(dist.support, t))
+    candidates = np.append(0.0, support[inside])
+    values = np.append(at_zero, excess[inside]) / (t - candidates)
+    best = int(np.flatnonzero(values == values.min())[-1])
+    return float(values[best]), float(candidates[best])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, Union
 
@@ -130,7 +131,7 @@ class _Collector:
 
 
 def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _number_list(doc: dict, key: str, errors: _Collector) -> list[float] | None:
@@ -423,14 +424,12 @@ def parse_instance(text: str) -> InstanceFile:
 # -- serialization -----------------------------------------------------------------
 
 
-def _fmt(value: Any) -> str:
+def format_field(value: Any) -> str:
     """Serialize one CSV field; 12 significant digits for floats."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -469,7 +468,7 @@ def emit_results(reports: Sequence[ResultRow], format: str = "csv") -> str:
         lines = [",".join(CSV_COLUMNS)]
         for row in sorted(reports, key=_sort_key):
             fields = _row_fields(row)
-            lines.append(",".join(_fmt(fields[c]) for c in CSV_COLUMNS))
+            lines.append(",".join(format_field(fields[c]) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
     if format == "table":
         computed = sorted(
@@ -480,9 +479,9 @@ def emit_results(reports: Sequence[ResultRow], format: str = "csv") -> str:
         for r in computed:
             witness = r.witness or {}
             notes = " ".join(
-                f"{k}={_fmt(v)}" for k, v in witness.items() if isinstance(v, (int, float))
+                f"{k}={format_field(v)}" for k, v in witness.items() if isinstance(v, (int, float))
             )
-            rows.append((r.method, _fmt(r.value), "yes" if r.clamped else "", notes))
+            rows.append((r.method, format_field(r.value), "yes" if r.clamped else "", notes))
         for r in skipped:
             rows.append((r.method, "skipped", "", r.reason))
         widths = [max(len(row[i]) for row in rows) for i in range(4)]

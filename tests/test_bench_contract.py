@@ -31,7 +31,16 @@ def test_every_traced_layer_resolves():
 
 @pytest.mark.parametrize(
     "workload, instance",
-    [("figure1", "p25_t6"), ("bound_sweep", "cond_probs_n200"), ("verify", "mean_n8")],
+    [
+        ("figure1", "p25_t6"),
+        ("bound_sweep", "cond_probs_n200"),
+        # the linear cut on the 1001-point binomial, the z_nm lattice sum and
+        # the 1331-point non-lattice xi merge
+        ("bound_sweep", "mean_n1000"),
+        ("bound_sweep", "moments_m4_n100"),
+        ("bound_sweep", "variance_het_n20"),
+        ("verify", "mean_n8"),
+    ],
 )
 def test_workload_instance_matches_reference(workload, instance):
     seed = workloads.DEFAULT_SEED

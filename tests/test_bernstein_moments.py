@@ -26,6 +26,7 @@ from tailbound import (
     check_convex_order,
     check_stochastic_order,
     cohen_extremal,
+    convolve,
     exp_moment_bound,
     hoeffding_bound,
     impossibility_witness,
@@ -47,6 +48,11 @@ def test_moment_vector_validation():
         MomentVector((0.5, 0.0))
     with pytest.raises(DomainError):
         MomentVector(())
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            MomentVector((0.3, bad))
+        with pytest.raises(DomainError):
+            MomentVector((0.3, bad, 0.1))
 
 
 def test_weights_known_expansion():
@@ -137,6 +143,40 @@ def test_convolution_bound_reduces_to_breakpoint_search():
     for t in (6.0, 7.25, 8.0):
         assert z_nm_bound(mvs, t).value == pytest.approx(
             bentkus_linear_bound(MeanInstance(10, 0.5, t)).value, abs=1e-12
+        )
+
+
+def _lattice_z_nm(mv, n, t):
+    """z_nm from its definition on the integer lattice: the n-fold np.convolve
+    of the Bernstein weights on {0, ..., n*m}/m, and every cut evaluated."""
+    weights = np.array(bernstein_weights(mv).probs)
+    pmf = np.ones(1)
+    for _ in range(n):
+        pmf = np.convolve(pmf, weights)
+    grid = np.arange(pmf.size) / mv.m
+    return min(
+        float(np.dot(grid[grid > a] - a, pmf[grid > a])) / (t - a)
+        for a in [0.0] + [x for x in grid if 0.0 < x < t]
+    )
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_convolution_bound_matches_lattice_at_large_n(n):
+    # merged lattice points once drifted off the lattice at n >= 261
+    mv = MomentVector((0.3, 0.15, 0.09, 0.06))
+    t = 0.45 * n
+    expected = _lattice_z_nm(mv, n, t)
+    assert z_nm_bound([mv] * n, t).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_convolution_bound_with_one_moment_is_bentkus_up_to_large_n():
+    mv = MomentVector((0.3,))
+    for n in (50, 300, 1000):
+        # every merged point stays on the integer lattice, subnormal tail masses included
+        assert convolve([bernstein_weights(mv)] * n).support == tuple(map(float, range(n + 1)))
+        t = 0.45 * n
+        assert z_nm_bound([mv] * n, t).value == pytest.approx(
+            bentkus_linear_bound(MeanInstance(n, 0.3, t)).value, rel=1e-11, abs=0.0
         )
 
 

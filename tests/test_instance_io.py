@@ -194,6 +194,40 @@ def test_null_arrays_are_violations():
         assert any(v.startswith(f"{path}: must be an array") for v in err.value.violations), path
 
 
+_MEAN_DOC = {"information": "mean", "n": 5, "p": 0.3, "t": 3}
+_COND_DOC = {"n": 3, "p": 0.3, "breakpoints": [0, 0.4, 1], "t": 2}
+_COND_MEANS_DOC = {"information": "conditional-means", "mu": [0.1, 0.7], **_COND_DOC}
+#: key -> (a valid document, the index the bad value replaces or None for
+#: the whole value, the path of the expected violation)
+_NUMBER_SLOTS = {
+    "p": (_MEAN_DOC, None, "p[0]"),
+    "t": (_MEAN_DOC, None, "t"),
+    "moments": ({"information": "moments", "n": 5, "moments": [0.3, 0.15], "t": 3}, 1, "moments[0]"),
+    "sigma2": ({"information": "variance", "n": 5, "p": 0.3, "sigma2": 0.1, "t": 3}, None, "sigma2"),
+    "mu": (_COND_MEANS_DOC, 1, "mu[0]"),
+    "breakpoints": (_COND_MEANS_DOC, 1, "breakpoints"),
+    "q": ({"information": "conditional-probs", "q": [0.5, 0.5], **_COND_DOC}, 0, "q"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_NUMBER_SLOTS))
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"]
+)
+def test_non_finite_numbers_are_violations(key, bad):
+    # json.loads accepts NaN, Infinity and -Infinity, and integers beyond the float range
+    doc, index, path = _NUMBER_SLOTS[key]
+    doc = json.loads(json.dumps({"schema_version": 1, **doc}))
+    if index is None:
+        doc[key] = bad
+    else:
+        doc[key][index] = bad
+    with pytest.raises(ValidationError) as err:
+        parse_instance(json.dumps(doc))
+    (violation,) = err.value.violations
+    assert violation.startswith(f"{path}: must be ") and "number" in violation
+
+
 def report(method, value, sigma2=None, **kw):
     return BoundReport(method=method, value=value, sigma2=sigma2, **kw)
 

@@ -85,6 +85,52 @@ def test_best_linear_cut_breaks_ties_toward_largest_candidate():
     assert best_linear_cut(dist, 2.0) == (0.75, 1.0)
 
 
+def test_merge_keeps_subnormal_group_on_its_members():
+    # fsum(s*q)/mass with subnormal masses used to put this point at 0.35
+    third = 1.0 / 3.0
+    dist = DiscreteDist.from_pairs([(0.0, 0.5), (third, 1e-322), (third, 1e-322), (0.5, 0.5)])
+    assert dist.support == (0.0, third, 0.5)
+    assert dist.probs == (0.5, 2e-322, 0.5)
+
+
+def test_nan_probability_is_rejected():
+    with pytest.raises(DomainError):
+        DiscreteDist((0.0, 1.0), (1.0, math.nan))
+
+
+def _quadratic_cut(dist, t):
+    """Every candidate of the linear cut, each evaluated from its definition."""
+    candidates = [0.0] + [s for s in dist.support if 0.0 < s < t]
+    return [(dist.expected_positive_part(a) / (t - a), a) for a in candidates]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**30),
+    st.integers(1, 60),
+    st.sampled_from(["lattice", "real"]),
+    st.sampled_from([0.0, 1.0, -0.5]),
+)
+def test_best_linear_cut_matches_quadratic_definition(seed, size, kind, start):
+    # start 0 puts a support point at 0, start -0.5 puts some below 0
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        support = start + np.arange(size) * rng.uniform(0.05, 2.0)
+    else:
+        support = start + np.cumsum(rng.uniform(1e-6, 1.0, size))
+    probs = rng.dirichlet(np.full(size, 0.5))
+    probs[rng.random(size) < 0.2] = 0.0
+    if probs.sum() == 0.0:
+        probs[-1] = 1.0
+    dist = DiscreteDist(tuple(support), tuple(probs / probs.sum()))
+    t = rng.uniform(0.01, support[-1] + 1.0) if support[-1] > 0.0 else rng.uniform(0.01, 1.0)
+    value, a_star = best_linear_cut(dist, t)
+    reference = sorted(_quadratic_cut(dist, t))
+    assert value == pytest.approx(reference[0][0], rel=1e-12, abs=0.0)
+    if len(reference) == 1 or reference[1][0] > reference[0][0] * (1.0 + 1e-12):
+        assert a_star == reference[0][1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**30))
 def test_convolve_mean_is_additive(seed):
