@@ -14,8 +14,6 @@ import sys
 import tempfile
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .bernstein_moments import (
     MomentVector,
     exp_moment_bound,
@@ -128,6 +126,11 @@ def compute_bounds(
             f"unknown method(s) {', '.join(unknown)}; "
             f"available for {task.information}: {', '.join(available)}"
         )
+    if not selected:
+        raise DomainError("no method selected")
+    repeated = [m for i, m in enumerate(selected) if m in selected[:i]]
+    if repeated:
+        raise DomainError(f"method(s) {', '.join(repeated)} selected more than once")
     context = {
         "n": task.n,
         "p_or_q1": math.fsum(task.means) / task.n,
@@ -171,6 +174,7 @@ def cmd_bound(path: str, methods: Sequence[str] | None, fmt: str) -> int:
 
 
 def cmd_verify(path: str, trials: int, seed: int) -> int:
+    import numpy as np
     try:
         instance = _read_instance(path)
         if instance.n > 8:
@@ -298,7 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bound":
         methods = None
-        if args.methods:
+        if args.methods is not None:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         return cmd_bound(args.instance, methods, args.format)
     if args.command == "verify":

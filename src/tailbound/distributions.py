@@ -5,6 +5,8 @@ constructions, exact convolutions and the order-checking oracle all speak
 it.  Probabilities are plain floats; queries sum with ``math.fsum``, and the
 merge and the linear cut sum small groups or nonnegative terms, so results
 track the exact values to within a few ulp at the support sizes here.
+The array routines import numpy when first called, so importing the package
+and parsing instances need only the standard library.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
@@ -77,6 +77,7 @@ class DiscreteDist:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "DiscreteDist":
         """Build from (value, probability) pairs, merging nearby values."""
+        import numpy as np
         values, probs = np.array(list(pairs), dtype=float).reshape(-1, 2).T
         return cls(*_merged(values, probs))
 
@@ -110,12 +111,6 @@ class DiscreteDist:
             if s > a or same_point(s, a)
         )
 
-    def prob_at(self, x: float) -> float:
-        """Mass carried by the support point at ``x`` (0 if absent)."""
-        return math.fsum(
-            q for s, q in zip(self.support, self.probs) if same_point(s, x)
-        )
-
 
 def _merged(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort (value, prob) pairs and merge values within tolerance.
@@ -127,6 +122,7 @@ def _merged(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     subnormal masses that ratio keeps only a few bits; a zero-mass group
     keeps its first member.
     """
+    import numpy as np
     if not values.size:
         raise DomainError("no support points")
     order = np.argsort(values, kind="stable")
@@ -150,6 +146,7 @@ def convolve(dists: Sequence[DiscreteDist]) -> DiscreteDist:
     The output is renormalized, and flagged as such, only when the total
     mass drifts from one by more than ``1e-12``.
     """
+    import numpy as np
     acc_support, acc_probs = np.zeros(1), np.ones(1)
     for dist in dists:
         live = np.array(dist.probs) > 0.0
@@ -187,6 +184,7 @@ def best_linear_cut(dist: DiscreteDist, t: float) -> tuple[float, float]:
     terms: E[(X-s_i)+] = E[(X-s_{i+1})+] + (s_{i+1}-s_i) P[X > s_i].
     Returns (value, a_star).
     """
+    import numpy as np
     support = np.array(dist.support)
     above = np.cumsum(dist.probs[:0:-1])[::-1]
     excess = np.append(np.cumsum((np.diff(support) * above)[::-1])[::-1], 0.0)

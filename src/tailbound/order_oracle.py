@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Sequence, Union
 
-import numpy as np
-
 from .bernstein_moments import MomentVector
 from .classic_bounds import VarianceClassSpec
 from .distributions import DiscreteDist, best_linear_cut, convolve
@@ -112,6 +110,7 @@ def _two_point_quadrature(mu: tuple[float, ...]) -> DiscreteDist | None:
 
 
 def _sample_moment_member(mv: MomentVector, rng: np.random.Generator) -> DiscreteDist:
+    import numpy as np
     if mv.m == 1:
         return _sample_mean_member(mv.mean, rng)
     if mv.m == 2:
@@ -161,6 +160,7 @@ def _sample_moment_member(mv: MomentVector, rng: np.random.Generator) -> Discret
 def _sample_variance_member(
     spec: VarianceClassSpec, rng: np.random.Generator
 ) -> DiscreteDist:
+    import numpy as np
     p, s2 = spec.p, spec.sigma2
     lam = max(p - s2 / (1.0 - p), 0.0)
     for _ in range(_MAX_TRIES):
@@ -208,6 +208,7 @@ def _cell_two_point(
 def _sample_cond_means_member(
     spec: ConditionalMeansSpec, rng: np.random.Generator
 ) -> DiscreteDist:
+    import numpy as np
     r = spec.partition.breakpoints
     m = spec.partition.n_cells
     mu = spec.mu
@@ -240,6 +241,7 @@ def _sample_cond_means_member(
 def _sample_cond_probs_member(
     spec: ConditionalProbsSpec, rng: np.random.Generator
 ) -> DiscreteDist:
+    import numpy as np
     r = spec.partition.breakpoints
     m = spec.partition.n_cells
     q = np.array(spec.q)
@@ -300,6 +302,7 @@ def sample_class_member(spec: ClassSpec, seed) -> DiscreteDist:
     :class:`SamplingExhaustedError` when the retry budget runs out, which
     is also how infeasible (empty) classes surface.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     if isinstance(spec, MomentVector):
         return _sample_moment_member(spec, rng)
@@ -350,6 +353,7 @@ def validate_bound(
     1e-10 slack).  ``max_tail`` is the largest exact tail seen, an
     empirical lower estimate of the worst case over the class.
     """
+    import numpy as np
     n = len(class_specs)
     if n > 8:
         raise DomainError("exact validation is limited to n <= 8 variables")

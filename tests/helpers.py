@@ -4,7 +4,7 @@ small-support distributions used as adversarial class members."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from tailbound import (
     PartitionSpec,
     VarianceClassSpec,
 )
+from tailbound.distributions import same_point
 
 
 def binom_pmf_exact(n: int, k: int, p: Fraction) -> Fraction:
@@ -55,6 +56,11 @@ def random_unit_dist(
         support = np.sort(rng.random(k))
     probs = rng.dirichlet(np.ones(k))
     return DiscreteDist(tuple(support), tuple(probs))
+
+
+def prob_at(dist: DiscreteDist, x: float) -> float:
+    """Mass carried by the support point of ``dist`` at ``x`` (0 if absent)."""
+    return fsum(q for s, q in zip(dist.support, dist.probs) if same_point(s, x))
 
 
 def moment_vector_of(dist: DiscreteDist, m: int) -> MomentVector:

@@ -15,6 +15,7 @@ from helpers import (
     binom_pmf_exact,
     binom_tail_exact,
     moment_vector_of,
+    prob_at,
     random_task,
     random_unit_dist,
 )
@@ -197,7 +198,7 @@ def test_criterion_08_order_theory_suite():
             y = sample_class_member(vclass, rng)
             xi_x = mix_envelope(x, partition)
             xi_y = mix_envelope(y, partition)
-            mass_x, mass_y = xi_x.prob_at(p), xi_y.prob_at(p)
+            mass_x, mass_y = prob_at(xi_x, p), prob_at(xi_y, p)
             assert check_convex_order(xi_x, xi_y).holds == (mass_x >= mass_y - 1e-10)
             assert check_convex_order(xi_y, xi_x).holds == (mass_y >= mass_x - 1e-10)
 

@@ -5,16 +5,20 @@ import dataclasses
 import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tailbound
 from tailbound import BoundReport, cli, instance_io
 from tailbound.cli import main
 
 MEAN_8 = {"schema_version": 1, "information": "mean", "n": 10, "p": 0.5, "t": 8}
 MEAN_6 = {"schema_version": 1, "information": "mean", "n": 10, "p": 0.5, "t": 6}
 MEAN_SMALL = {"schema_version": 1, "information": "mean", "n": 3, "p": 0.5, "t": 2}
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_instance(tmp_path, doc, name="instance.json"):
@@ -88,10 +92,39 @@ def test_bound_method_filter_and_table(tmp_path, capsys):
 
 def test_bound_unknown_method_is_input_error(tmp_path, capsys):
     path = write_instance(tmp_path, MEAN_8)
-    code, out, err = run_cli(capsys, "bound", path, "--methods", "sorcery")
-    assert code == 2
-    assert out == ""
-    assert "unknown method" in err
+    for methods, reason in (
+        ("sorcery", "unknown method"),
+        (" , ", "no method selected"),
+        ("", "no method selected"),
+        ("markov,markov", "markov selected more than once"),
+    ):
+        code, out, err = run_cli(capsys, "bound", path, "--methods", methods)
+        assert code == 2, methods
+        assert out == "", methods
+        assert err.startswith("error:") and reason in err, (methods, err)
+
+
+def test_import_parse_and_input_errors_load_no_numpy(tmp_path):
+    """Importing the package, parsing every golden instance with its tasks
+    and rejecting a bad document run on the stdlib alone; numpy loads on
+    the first convolution, cut or oracle call."""
+    bad = write_instance(tmp_path, {**MEAN_8, "t": 11})
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(tailbound.__file__).parents[1])!r})
+from pathlib import Path
+import tailbound, tailbound.cli
+for path in sorted(Path({str(GOLDEN)!r}).glob("*.json")):
+    assert tailbound.parse_instance(path.read_text(encoding="utf-8")).tasks()
+assert tailbound.cli.main(["bound", {bad!r}]) == 2
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
 
 
 def test_bound_malformed_file_no_partial_output(tmp_path, capsys):
@@ -211,7 +244,7 @@ def figure_dir(tmp_path_factory):
     return outdir
 
 
-GOLDEN_FIGURE = Path(__file__).resolve().parent / "golden" / "figure1"
+GOLDEN_FIGURE = GOLDEN / "figure1"
 
 EXPECTED_PANELS = [
     f"fig1_p{int(p * 100)}_t{t}.csv"

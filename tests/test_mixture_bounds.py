@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_unit_dist
+from helpers import prob_at, random_unit_dist
 from tailbound import (
     ConditionalMeansSpec,
     ConditionalProbsSpec,
@@ -208,7 +208,7 @@ def test_xi_distribution_cases():
     # maximal variance collapses toward a two-point variable
     xi = xi_distribution(VarianceClassSpec(0.5, 0.25))
     assert all(q >= -1e-15 for q in xi.probs)
-    assert xi.prob_at(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert prob_at(xi, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_xi_mass_at_mean_matches_optimal_split():
@@ -224,7 +224,7 @@ def test_xi_mass_at_mean_matches_optimal_split():
         else:
             l1, l2 = sigma, sigma
         expected = 1 - s2 / ((1 - p) * p * (l1 + l2))
-        assert xi_distribution(VarianceClassSpec(p, s2)).prob_at(p) == pytest.approx(
+        assert prob_at(xi_distribution(VarianceClassSpec(p, s2)), p) == pytest.approx(
             expected, abs=1e-10
         )
 
