@@ -111,11 +111,10 @@ def _shared_order(mvs: Sequence[MomentVector]) -> int:
 def t_nm_distribution(mvs: Sequence[MomentVector]) -> DiscreteDist:
     """Pointwise average of the per-variable lattice weight distributions."""
     m = _shared_order(mvs)
-    dists = [bernstein_weights(mv) for mv in mvs]
-    n = len(dists)
+    weights = {mv: bernstein_weights(mv).probs.tolist() for mv in dict.fromkeys(mvs)}
+    columns = zip(*(weights[mv] for mv in mvs))
     support = tuple(j / m for j in range(m + 1))
-    probs = tuple(fsum(d.probs[j] for d in dists) / n for j in range(m + 1))
-    return DiscreteDist(support, probs)
+    return DiscreteDist(support, [fsum(column) / len(mvs) for column in columns])
 
 
 def _require_mean_regime(mvs: Sequence[MomentVector], t: float) -> None:
@@ -128,7 +127,7 @@ def exp_moment_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     averaged lattice weights."""
     _require_mean_regime(mvs, t)
     dist = t_nm_distribution(mvs)
-    value, h_star = minimize_exp_tail(dist.support, dist.probs, len(mvs), t)
+    value, h_star = minimize_exp_tail(dist.support.tolist(), dist.probs.tolist(), len(mvs), t)
     return make_report("exp_moment", value, {"h": h_star})
 
 
@@ -142,7 +141,8 @@ def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
         raise ResourceLimitError(
             f"convolution grid would need {n * m} points (limit {MAX_GRID_POINTS})"
         )
-    total = convolve([bernstein_weights(mv) for mv in mvs])
+    weights = {mv: bernstein_weights(mv) for mv in dict.fromkeys(mvs)}
+    total = convolve([weights[mv] for mv in mvs])
     value, a_star = best_linear_cut(total, t)
     return make_report("z_nm", value, {"epsilon": a_star})
 
@@ -241,6 +241,6 @@ def impossibility_witness(mu1: float, mu2: float) -> float:
     def g(x: float) -> float:
         return max(0.0, (x - lam) / (1.0 - lam))
 
-    num = fsum(q * g(s) for s, q in zip(c_dist.support, c_dist.probs))
-    den = fsum(q * g(s) for s, q in zip(c_prime.support, c_prime.probs))
+    num = fsum(q * g(s) for s, q in zip(c_dist.support.tolist(), c_dist.probs.tolist()))
+    den = fsum(q * g(s) for s, q in zip(c_prime.support.tolist(), c_prime.probs.tolist()))
     return num / den

@@ -205,8 +205,8 @@ def cmd_verify(path: str, trials: int, seed: int) -> int:
             lines.append(",".join(map(format_field, (*fields, len(report.violations)))))
             for violation in report.violations:
                 members = "; ".join(
-                    f"support={tuple(round(s, 6) for s in m.support)} "
-                    f"probs={tuple(round(q, 6) for q in m.probs)}"
+                    f"support={tuple(round(s, 6) for s in m.support.tolist())} "
+                    f"probs={tuple(round(q, 6) for q in m.probs.tolist())}"
                     for m in violation.members
                 )
                 print(

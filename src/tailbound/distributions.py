@@ -2,18 +2,19 @@
 
 ``DiscreteDist`` is the shared currency of the package: envelope
 constructions, exact convolutions and the order-checking oracle all speak
-it.  Probabilities are plain floats; queries sum with ``math.fsum``, and the
+it.  Its support and probabilities are read-only float64 numpy arrays;
+queries select terms with masks and sum them with ``math.fsum``, and the
 merge and the linear cut sum small groups or nonnegative terms, so results
 track the exact values to within a few ulp at the support sizes here.
-The array routines import numpy when first called, so importing the package
-and parsing instances need only the standard library.
+Loops that visit one point at a time read ``.tolist()`` first.
+numpy is imported when a distribution is first built, so importing the
+package and parsing instances need only the standard library.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -28,45 +29,57 @@ MERGE_REL_TOL = 1e-12
 MAX_SUPPORT_POINTS = 1_000_000
 
 
-def same_point(a: float, b: float) -> bool:
-    """True when two support values should be treated as one point."""
-    return abs(a - b) <= MERGE_REL_TOL * max(1.0, abs(a), abs(b))
+def _same_point(a, b):
+    """Elementwise: values within 1e-12 max(1, |a|, |b|) are one point."""
+    import numpy as np
+    return np.abs(a - b) <= MERGE_REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDist:
     """A probability distribution with finite real support.
 
-    The support must be strictly ascending.  Probabilities in
-    ``(-1e-15, 0)`` are clipped to zero; anything more negative is
-    rejected.  The total mass must equal one within ``1e-12``.
-    Zero-mass support points are allowed (grid-shaped distributions keep
-    their full grid).
+    ``support`` and ``probs`` are read-only float64 arrays.  The support
+    must be strictly ascending.  Probabilities in ``(-1e-15, 0)`` are
+    clipped to zero; anything more negative is rejected.  The total mass
+    must equal one within ``1e-12``.  Zero-mass support points are allowed
+    (grid-shaped distributions keep their full grid).  Two distributions
+    are equal when their arrays are; ``renormalized`` is not compared.
     """
 
-    support: tuple[float, ...]
-    probs: tuple[float, ...]
-    renormalized: bool = field(default=False, compare=False)
+    support: np.ndarray
+    probs: np.ndarray
+    renormalized: bool = False
 
     def __post_init__(self) -> None:
-        support = tuple(float(s) for s in self.support)
-        probs = [float(q) for q in self.probs]
-        if not support or len(support) != len(probs):
+        import numpy as np
+        support = np.array(self.support, dtype=float)
+        probs = np.array(self.probs, dtype=float)
+        if support.ndim != 1 or not support.size or support.shape != probs.shape:
             raise DomainError(
                 "support and probs must be nonempty sequences of equal length"
             )
-        for a, b in zip(support, support[1:]):
-            if not a < b:
-                raise DomainError("support must be strictly ascending")
-        for q in probs:
-            if not q >= NEG_PROB_FLOOR:
-                raise DomainError(f"probability {q!r} is negative or not a number")
-        probs = [q if q > 0.0 else 0.0 for q in probs]
-        total = math.fsum(probs)
+        if not np.all(support[:-1] < support[1:]):
+            raise DomainError("support must be strictly ascending")
+        bad = ~(probs >= NEG_PROB_FLOOR)
+        if bad.any():
+            q = float(probs[bad.argmax()])
+            raise DomainError(f"probability {q!r} is negative or not a number")
+        probs[~(probs > 0.0)] = 0.0
+        total = math.fsum(probs.tolist())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
+        support.flags.writeable = probs.flags.writeable = False
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", tuple(probs))
+        object.__setattr__(self, "probs", probs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiscreteDist):
+            return NotImplemented
+        import numpy as np
+        return np.array_equal(self.support, other.support) and np.array_equal(
+            self.probs, other.probs
+        )
 
     # -- construction helpers -------------------------------------------------
 
@@ -85,51 +98,41 @@ class DiscreteDist:
 
     @property
     def n_points(self) -> int:
-        return len(self.support)
+        return self.support.size
 
     def mean(self) -> float:
-        return math.fsum(s * q for s, q in zip(self.support, self.probs))
+        return math.fsum((self.support * self.probs).tolist())
 
     def moment(self, k: int) -> float:
-        return math.fsum(s**k * q for s, q in zip(self.support, self.probs))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return math.fsum((s - m) ** 2 * q for s, q in zip(self.support, self.probs))
+        # Python's float power, not numpy's, whose SIMD loops may round differently
+        return math.fsum(s**k * q for s, q in zip(self.support.tolist(), self.probs.tolist()))
 
     def expected_positive_part(self, a: float) -> float:
         """E[max(0, X - a)]."""
-        return math.fsum(
-            (s - a) * q for s, q in zip(self.support, self.probs) if s > a
-        )
+        above = self.support > a
+        return math.fsum(((self.support[above] - a) * self.probs[above]).tolist())
 
     def upper_tail(self, a: float) -> float:
         """P[X >= a]; support points within merge tolerance of ``a`` count."""
-        return math.fsum(
-            q
-            for s, q in zip(self.support, self.probs)
-            if s > a or same_point(s, a)
-        )
+        s = self.support
+        return math.fsum(self.probs[(s > a) | _same_point(s, a)].tolist())
 
 
 def _merged(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort (value, prob) pairs and merge values within tolerance.
 
     Grouping is neighbour-to-neighbour: a new point starts where sorted
-    neighbours a <= b fail ``same_point``, whose scale max(1, |a|, |b|) is
-    then max(1, b, -a).  A merged point is the probability-weighted mean of
-    its members, which keeps the mean, clipped to their span because with
-    subnormal masses that ratio keeps only a few bits; a zero-mass group
-    keeps its first member.
+    neighbours fail ``_same_point``.  A merged point is the
+    probability-weighted mean of its members, which keeps the mean, clipped
+    to their span because with subnormal masses that ratio keeps only a few
+    bits; a zero-mass group keeps its first member.
     """
     import numpy as np
     if not values.size:
         raise DomainError("no support points")
     order = np.argsort(values, kind="stable")
     values, probs = values[order], probs[order]
-    low, high = values[:-1], values[1:]
-    scale = np.maximum(np.maximum(high, -1.0 * low), 1.0)
-    new = np.concatenate(([True], high - low > MERGE_REL_TOL * scale))
+    new = np.concatenate(([True], ~_same_point(values[:-1], values[1:])))
     starts = np.flatnonzero(new)
     mass = np.add.reduceat(probs, starts)
     first, last = values[new], values[np.append(new[1:], True)]
@@ -149,8 +152,8 @@ def convolve(dists: Sequence[DiscreteDist]) -> DiscreteDist:
     import numpy as np
     acc_support, acc_probs = np.zeros(1), np.ones(1)
     for dist in dists:
-        live = np.array(dist.probs) > 0.0
-        support, probs = np.array(dist.support)[live], np.array(dist.probs)[live]
+        live = dist.probs > 0.0
+        support, probs = dist.support[live], dist.probs[live]
         if acc_support.size * support.size > MAX_SUPPORT_POINTS:
             raise ResourceLimitError(
                 "convolution support would exceed "
@@ -160,18 +163,18 @@ def convolve(dists: Sequence[DiscreteDist]) -> DiscreteDist:
             np.add.outer(acc_support, support).ravel(),
             np.multiply.outer(acc_probs, probs).ravel(),
         )
-    return renormalized_dist(acc_support.tolist(), acc_probs.tolist())
+    return renormalized_dist(acc_support, acc_probs)
 
 
 def renormalized_dist(support: Sequence[float], probs: Sequence[float]) -> DiscreteDist:
     """A distribution from computed probabilities whose total may drift from
     one by rounding; they are rescaled, and the result flagged, only when
     the drift exceeds ``1e-12``."""
-    total = math.fsum(probs)
+    import numpy as np
+    probs = np.asarray(probs, dtype=float)
+    total = math.fsum(probs.tolist())
     renormalized = abs(total - 1.0) > PROB_SUM_TOL
-    if renormalized:
-        probs = [q / total for q in probs]
-    return DiscreteDist(tuple(support), tuple(probs), renormalized)
+    return DiscreteDist(support, probs / total if renormalized else probs, renormalized)
 
 
 def best_linear_cut(dist: DiscreteDist, t: float) -> tuple[float, float]:
@@ -185,11 +188,11 @@ def best_linear_cut(dist: DiscreteDist, t: float) -> tuple[float, float]:
     Returns (value, a_star).
     """
     import numpy as np
-    support = np.array(dist.support)
+    support = dist.support
     above = np.cumsum(dist.probs[:0:-1])[::-1]
     excess = np.append(np.cumsum((np.diff(support) * above)[::-1])[::-1], 0.0)
     at_zero = excess[0] + support[0] if support[0] >= 0.0 else dist.expected_positive_part(0.0)
-    inside = slice(bisect_right(dist.support, 0.0), bisect_left(dist.support, t))
+    inside = slice(np.searchsorted(support, 0.0, "right"), np.searchsorted(support, t))
     candidates = np.append(0.0, support[inside])
     values = np.append(at_zero, excess[inside]) / (t - candidates)
     best = int(np.flatnonzero(values == values.min())[-1])

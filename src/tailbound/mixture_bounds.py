@@ -139,19 +139,14 @@ def mix_envelope(x: DiscreteDist, partition: PartitionSpec) -> DiscreteDist:
     envelope and mix; the output lives on the breakpoints, keeps the mean of
     x exactly, and dominates x in convex order."""
     r = partition.breakpoints
-    weights = [0.0] * len(r)
-    accum: list[list[float]] = [[] for _ in r]
-    for s, q in zip(x.support, x.probs):
+    pairs = []
+    for s, q in zip(x.support.tolist(), x.probs.tolist()):
         if q == 0.0:
             continue
         j = partition.cell_index(s)
-        width = r[j] - r[j - 1]
-        left_share = (r[j] - s) / width
-        accum[j - 1].append(q * left_share)
-        accum[j].append(q * (1.0 - left_share))
-    pairs = [(rj, fsum(parts)) for rj, parts in zip(r, accum) if parts]
-    pairs = [(rj, w) for rj, w in pairs if w > 0.0]
-    return DiscreteDist(tuple(s for s, _ in pairs), tuple(w for _, w in pairs))
+        left_share = (r[j] - s) / (r[j] - r[j - 1])
+        pairs += [(r[j - 1], q * left_share), (r[j], q * (1.0 - left_share))]
+    return DiscreteDist.from_pairs((rj, w) for rj, w in pairs if w > 0.0)
 
 
 def conditional_means_bound(
@@ -189,7 +184,7 @@ def conditional_means_bound(
     envelope = DiscreteDist.from_pairs(
         [(0.0, pi1), (r[1], pi2), (r[m - 1], pi3), (1.0, pi4)]
     )
-    value, h_star = minimize_exp_tail(envelope.support, envelope.probs, n, t)
+    value, h_star = minimize_exp_tail(envelope.support.tolist(), envelope.probs.tolist(), n, t)
     return make_report(
         "conditional_means",
         value,
@@ -242,11 +237,8 @@ def conditional_probs_bound(
     # a full cell's mean equals the next cell's lower endpoint, so only the
     # cells with mass keep the support strictly ascending
     active = [(mu, qj) for mu, qj in zip(mus, spec.q) if qj > 0.0]
-    xi = mix_envelope(
-        DiscreteDist(tuple(mu for mu, _ in active), tuple(qj for _, qj in active)),
-        spec.partition,
-    )
-    mgf = fsum(q * exp(h * s) for s, q in zip(xi.support, xi.probs))
+    xi = mix_envelope(DiscreteDist(*zip(*active)), spec.partition)
+    mgf = fsum(q * exp(h * s) for s, q in zip(xi.support.tolist(), xi.probs.tolist()))
     value = exp(-h * t + n * log(mgf))
     return make_report("conditional_probs", value, {"h": h, "mu": mus, "xi": xi})
 
@@ -290,6 +282,7 @@ def xi_sum_bound(vclasses: Sequence[VarianceClassSpec], t: float) -> BoundReport
     n = len(vclasses)
     p_bar = fsum(v.p for v in vclasses) / n
     require_regime(n, p_bar, t)
-    total = convolve([xi_distribution(v) for v in vclasses])
+    xis = {v: xi_distribution(v) for v in dict.fromkeys(vclasses)}
+    total = convolve([xis[v] for v in vclasses])
     best_value, best_eps = best_linear_cut(total, t)
     return make_report("xi_sum", best_value, {"epsilon": best_eps})

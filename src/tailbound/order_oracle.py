@@ -46,7 +46,7 @@ class OrderCertificate:
 
 
 def _merged_support(x: DiscreteDist, y: DiscreteDist) -> list[float]:
-    return sorted(set(x.support) | set(y.support))
+    return sorted(set(x.support.tolist()) | set(y.support.tolist()))
 
 
 def check_convex_order(x: DiscreteDist, y: DiscreteDist) -> OrderCertificate:
@@ -147,7 +147,7 @@ def _sample_moment_member(mv: MomentVector, rng: np.random.Generator) -> Discret
             continue
         probs = np.clip(probs, 0.0, None)
         probs = probs / probs.sum()
-        return DiscreteDist(tuple(support), tuple(probs))
+        return DiscreteDist(support, probs)
     if m == 3:
         member = _two_point_quadrature(mv.mu)
         if member is not None:
@@ -186,7 +186,7 @@ def _sample_variance_member(
             continue
         probs = np.clip(probs, 0.0, None)
         probs = probs / probs.sum()
-        return DiscreteDist((0.0, v, 1.0), tuple(probs))
+        return DiscreteDist((0.0, v, 1.0), probs)
     raise SamplingExhaustedError(
         f"found no member with (p, sigma2)=({p}, {s2}) after {_MAX_TRIES} draws"
     )

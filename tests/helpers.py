@@ -1,4 +1,5 @@
-"""Shared test oracles: exact rational binomial arithmetic and random
+"""Shared test oracles: exact rational binomial arithmetic, scalar
+reference definitions of the ``DiscreteDist`` queries, and random
 small-support distributions used as adversarial class members."""
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from tailbound import (
     PartitionSpec,
     VarianceClassSpec,
 )
-from tailbound.distributions import same_point
+from tailbound.distributions import MERGE_REL_TOL
 
 
 def binom_pmf_exact(n: int, k: int, p: Fraction) -> Fraction:
@@ -55,12 +56,47 @@ def random_unit_dist(
     while k > 1 and np.min(np.diff(support)) < 1e-3:
         support = np.sort(rng.random(k))
     probs = rng.dirichlet(np.ones(k))
-    return DiscreteDist(tuple(support), tuple(probs))
+    return DiscreteDist(support, probs)
+
+
+# -- scalar reference definitions of the DiscreteDist queries ----------------
+# One Python float per point, summed by fsum; the array queries must equal
+# them bit for bit.
+
+
+def _points(dist: DiscreteDist) -> list[tuple[float, float]]:
+    return list(zip(dist.support.tolist(), dist.probs.tolist()))
+
+
+def same_point(a: float, b: float) -> bool:
+    """True when two support values should be treated as one point."""
+    return abs(a - b) <= MERGE_REL_TOL * max(1.0, abs(a), abs(b))
+
+
+def ref_mean(dist: DiscreteDist) -> float:
+    return fsum(s * q for s, q in _points(dist))
+
+
+def ref_moment(dist: DiscreteDist, k: int) -> float:
+    return fsum(s**k * q for s, q in _points(dist))
+
+
+def variance(dist: DiscreteDist) -> float:
+    m = ref_mean(dist)
+    return fsum((s - m) ** 2 * q for s, q in _points(dist))
+
+
+def ref_expected_positive_part(dist: DiscreteDist, a: float) -> float:
+    return fsum((s - a) * q for s, q in _points(dist) if s > a)
+
+
+def ref_upper_tail(dist: DiscreteDist, a: float) -> float:
+    return fsum(q for s, q in _points(dist) if s > a or same_point(s, a))
 
 
 def prob_at(dist: DiscreteDist, x: float) -> float:
     """Mass carried by the support point of ``dist`` at ``x`` (0 if absent)."""
-    return fsum(q for s, q in zip(dist.support, dist.probs) if same_point(s, x))
+    return fsum(q for s, q in _points(dist) if same_point(s, x))
 
 
 def moment_vector_of(dist: DiscreteDist, m: int) -> MomentVector:

@@ -10,6 +10,7 @@ from helpers import (
     binom_tail_exact,
     moment_vector_of,
     random_unit_dist,
+    variance,
 )
 from tailbound import (
     BinomialSpec,
@@ -57,7 +58,7 @@ def test_moment_vector_validation():
 
 def test_weights_known_expansion():
     dist = bernstein_weights(MomentVector((0.5, 0.3)))
-    assert dist.support == (0.0, 0.5, 1.0)
+    assert dist.support.tolist() == [0.0, 0.5, 1.0]
     assert dist.probs == pytest.approx((0.3, 0.4, 0.3), abs=1e-14)
 
 
@@ -173,7 +174,8 @@ def test_convolution_bound_with_one_moment_is_bentkus_up_to_large_n():
     mv = MomentVector((0.3,))
     for n in (50, 300, 1000):
         # every merged point stays on the integer lattice, subnormal tail masses included
-        assert convolve([bernstein_weights(mv)] * n).support == tuple(map(float, range(n + 1)))
+        support = convolve([bernstein_weights(mv)] * n).support
+        assert support.tolist() == list(map(float, range(n + 1)))
         t = 0.45 * n
         assert z_nm_bound([mv] * n, t).value == pytest.approx(
             bentkus_linear_bound(MeanInstance(n, 0.3, t)).value, rel=1e-11, abs=0.0
@@ -264,7 +266,7 @@ def test_extremal_two_point_member():
     assert dist.support == pytest.approx((0.4, 1.0))
     assert dist.probs == pytest.approx((5 / 6, 1 / 6), rel=1e-12)
     assert dist.mean() == pytest.approx(0.5, abs=1e-12)
-    assert dist.variance() == pytest.approx(0.05, abs=1e-12)
+    assert variance(dist) == pytest.approx(0.05, abs=1e-12)
 
     bernoulli = cohen_extremal(0.5, 0.25)
     assert bernoulli.support == pytest.approx((0.0, 1.0))

@@ -105,9 +105,15 @@ def test_bound_unknown_method_is_input_error(tmp_path, capsys):
 
 
 def test_import_parse_and_input_errors_load_no_numpy(tmp_path):
-    """Importing the package, parsing every golden instance with its tasks
-    and rejecting a bad document run on the stdlib alone; numpy loads on
-    the first convolution, cut or oracle call."""
+    """Importing the package, parsing every golden instance with its tasks,
+    computing every method README "Install" names as stdlib-only on those
+    tasks, and rejecting a bad document run on the stdlib alone; numpy loads
+    when the first DiscreteDist is built."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    install = readme.split("## Install", 1)[1].split("\n## ", 1)[0]
+    methods = {name for level in cli._LEVELS.values() for name in level}
+    stdlib = [name for name in re.findall(r"`(\w+)`", install) if name in methods]
+    assert len(stdlib) == 7
     bad = write_instance(tmp_path, {**MEAN_8, "t": 11})
     script = f"""
 import sys
@@ -115,7 +121,11 @@ sys.path.insert(0, {str(Path(tailbound.__file__).parents[1])!r})
 from pathlib import Path
 import tailbound, tailbound.cli
 for path in sorted(Path({str(GOLDEN)!r}).glob("*.json")):
-    assert tailbound.parse_instance(path.read_text(encoding="utf-8")).tasks()
+    tasks = tailbound.parse_instance(path.read_text(encoding="utf-8")).tasks()
+    assert tasks
+    for task in tasks:
+        available = {{**tailbound.cli._LEVELS["mean"], **tailbound.cli._LEVELS[task.information]}}
+        tailbound.cli.compute_bounds(task, [m for m in {stdlib!r} if m in available])
 assert tailbound.cli.main(["bound", {bad!r}]) == 2
 assert "numpy" not in sys.modules, "numpy was imported"
 """
@@ -187,7 +197,29 @@ def test_verify_detects_injected_corruption(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "compute_bounds", halved)
     code, out, err = run_cli(capsys, "verify", path, "--trials", "300", "--seed", "7")
     assert code == 1
-    assert "counterexample" in err
+    # members print as plain rounded floats, one line per violation
+    lines = err.splitlines()
+    assert len(lines) == 86 + 67 + 65 + 90
+    assert all(line.startswith("counterexample: method=") for line in lines)
+    assert lines[0] == (
+        "counterexample: method=markov trial=3 tail=0.649623580092 > bound=0.46875 "
+        "[support=(0.0, 0.520103) probs=(0.038651, 0.961349); "
+        "support=(0.0, 0.626189) probs=(0.201519, 0.798481); "
+        "support=(0.0, 0.590818) probs=(0.153716, 0.846284)]"
+    )
+    assert lines[-1] == (
+        "counterexample: method=bentkus_linear trial=299 tail=0.644210931561 > bound=0.46875 "
+        "[support=(0.0, 0.943888) probs=(0.470276, 0.529724); "
+        "support=(0.0, 0.692783) probs=(0.278273, 0.721727); "
+        "support=(0.0, 0.929416) probs=(0.462028, 0.537972)]"
+    )
+    assert out == (
+        "method,t,sigma2,bound,max_tail,violations\n"
+        "markov,1.6,,0.46875,0.708295473486,86\n"
+        "hoeffding,1.6,,0.496675296033,0.735732672837,67\n"
+        "hoeffding_exp,1.6,,0.496677753128,0.751495770455,65\n"
+        "bentkus_linear,1.6,,0.46875,0.763591551203,90\n"
+    )
 
 
 def test_verify_zero_trials(tmp_path, capsys):

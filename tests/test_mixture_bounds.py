@@ -50,7 +50,7 @@ def test_mix_envelope_hand_computation():
     partition = PartitionSpec((0.0, 0.5, 1.0))
     x = DiscreteDist((0.25, 0.75), (0.5, 0.5))
     out = mix_envelope(x, partition)
-    assert out.support == (0.0, 0.5, 1.0)
+    assert out.support.tolist() == [0.0, 0.5, 1.0]
     assert out.probs == pytest.approx((0.25, 0.5, 0.25), abs=1e-14)
 
 
@@ -189,7 +189,7 @@ def test_conditional_probs_infeasible_mean_rejected():
 def test_xi_distribution_cases():
     # balanced case: sigma below both p and 1-p
     xi = xi_distribution(VarianceClassSpec(0.5, 0.0625))
-    assert xi.support == (0.0, 0.5, 1.0)
+    assert xi.support.tolist() == [0.0, 0.5, 1.0]
     assert xi.probs == pytest.approx((0.25, 0.5, 0.25), abs=1e-12)
 
     # sigma above 1-p
