@@ -17,7 +17,7 @@ from typing import Sequence
 from ._search import minimize_exp_tail
 from .binomial_core import BinomialSpec, upper_tail
 from .classic_bounds import BoundReport, make_report, require_regime
-from .distributions import DiscreteDist, best_linear_cut, convolve
+from .distributions import MAX_SUPPORT_POINTS, DiscreteDist, best_linear_cut, convolve
 from .errors import (
     DomainError,
     InfeasibleMomentError,
@@ -28,8 +28,6 @@ from .errors import (
 
 #: tolerance below which a computed polynomial weight counts as infeasible
 WEIGHT_FLOOR = -1e-12
-#: grid guard for the convolution-based bound
-MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -137,9 +135,9 @@ def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     m = _shared_order(mvs)
     _require_mean_regime(mvs, t)
     n = len(mvs)
-    if n * m > MAX_GRID_POINTS:
+    if n * m > MAX_SUPPORT_POINTS:
         raise ResourceLimitError(
-            f"convolution grid would need {n * m} points (limit {MAX_GRID_POINTS})"
+            f"convolution grid would need {n * m} points (limit {MAX_SUPPORT_POINTS})"
         )
     weights = {mv: bernstein_weights(mv) for mv in dict.fromkeys(mvs)}
     total = convolve([weights[mv] for mv in mvs])

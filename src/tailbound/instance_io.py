@@ -12,7 +12,6 @@ numeric field is written with 12 significant digits.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -26,14 +25,6 @@ from .mixture_bounds import ConditionalMeansSpec, ConditionalProbsSpec, Partitio
 from .order_oracle import ClassSpec
 
 SCHEMA_VERSION = 1
-INFORMATION_LEVELS = (
-    "mean",
-    "moments",
-    "variance",
-    "conditional-means",
-    "conditional-probs",
-)
-
 CSV_COLUMNS = (
     "method",
     "value",
@@ -134,114 +125,209 @@ def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _number_list(doc: dict, key: str, errors: _Collector) -> list[float] | None:
-    if key not in doc:
-        return None
-    value = doc[key]
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
-        errors.add(key, "must be an array of numbers")
-        return None
-    return [float(v) for v in value]
-
-
-def _parse_t_values(doc: dict, sweep: dict, errors: _Collector) -> list[float]:
-    has_t = "t" in doc
-    has_sweep_t = "t" in sweep
-    if has_t and has_sweep_t:
-        errors.add("t", "given both at top level and as a sweep axis")
-        return []
-    if has_sweep_t:
-        values = sweep["t"]
-        if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):
-            errors.add("sweep.t", "must be a nonempty array of numbers")
-            return []
-        return [float(v) for v in values]
-    if not has_t:
-        errors.add("t", "required (either top-level or sweep.t)")
-        return []
-    if not _is_number(doc["t"]):
-        errors.add("t", "must be a number")
-        return []
-    return [float(doc["t"])]
-
-
-def _parse_sigma2_axis(sweep: dict, errors: _Collector) -> list[float] | None:
-    axis = sweep["sigma2"]
-    if isinstance(axis, list):
-        if not axis or not all(_is_number(v) for v in axis):
-            errors.add("sweep.sigma2", "must be a nonempty array of numbers")
-            return None
-        return [float(v) for v in axis]
-    if isinstance(axis, dict):
-        missing = {"start", "stop", "points"} - set(axis)
-        if missing or not all(_is_number(axis[k]) for k in ("start", "stop", "points")):
-            errors.add("sweep.sigma2", "grid form needs numeric start, stop, points")
-            return None
-        points = axis["points"]
-        if not float(points).is_integer() or points < 1:
-            errors.add("sweep.sigma2.points", "must be a positive integer")
-            return None
-        points = int(points)
-        start, stop = float(axis["start"]), float(axis["stop"])
-        if points == 1:
-            return [stop]
-        step = (stop - start) / (points - 1)
-        return [start + k * step for k in range(points)]
-    errors.add("sweep.sigma2", "must be an array or a {start, stop, points} object")
-    return None
+def _number(value: Any) -> float:
+    if not _is_number(value):
+        raise DomainError("must be a number")
+    return float(value)
 
 
 def _probability(value: Any) -> float:
-    if not _is_number(value):
-        raise DomainError("must be a number")
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"must lie in (0, 1), got {float(value)!r}")
-    return float(value)
+    p = _number(value)
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"must lie in (0, 1), got {p!r}")
+    return p
 
 
 def _number_row(value: Any) -> tuple[float, ...]:
     if not isinstance(value, list) or not value or not all(_is_number(v) for v in value):
-        raise DomainError("must be a nonempty array of numbers")
+        raise DomainError("must be an array of one or more numbers")
     return tuple(float(v) for v in value)
 
 
-def _shared_or_per_var(
-    doc: dict,
-    shared_key: str,
-    list_key: str,
-    n: int,
-    errors: _Collector,
-    entry: Callable[[Any], Any],
-) -> list | None:
-    """Resolve a parameter given either once or per variable into n values.
+def _n_entries(row: Sequence, n: int) -> Sequence:
+    if not isinstance(row, (list, tuple)) or len(row) != n:
+        raise DomainError(f"must be an array of exactly n={n} entries")
+    return row
 
-    ``entry`` converts one variable's raw value or raises DomainError; the
-    first failure is recorded under ``shared_key[i]`` and None returned.  A
-    shared value is converted once and repeated.
-    """
-    has_shared = shared_key in doc
-    has_list = list_key in doc
-    if has_shared and has_list:
-        errors.add(shared_key, f"give either {shared_key} or {list_key}, not both")
+
+def _checked(errors: _Collector, path: str, convert: Callable, *args: Any) -> Any:
+    """``convert(*args)``, or None once its DomainError is recorded under
+    ``path``."""
+    try:
+        return convert(*args)
+    except DomainError as exc:
+        errors.add(path, str(exc))
         return None
-    if has_shared:
-        raw = [doc[shared_key]]
-    elif has_list:
-        raw = doc[list_key]
-        if not isinstance(raw, list) or len(raw) != n:
-            errors.add(list_key, f"must be an array of exactly n={n} entries")
-            return None
+
+
+def _one_of(doc: dict, sweep: dict, errors: _Collector, *paths: str) -> tuple[str, Any] | None:
+    """The path and value of the one of ``paths`` the document gives (a
+    ``sweep.`` path names a key of the sweep object).  Giving none of them,
+    or more than one, is a single violation under the first path."""
+    given = {}
+    for path in paths:
+        source, key = (sweep, path[len("sweep."):]) if path.startswith("sweep.") else (doc, path)
+        if key in source:
+            given[path] = source[key]
+    if len(given) == 1:
+        return next(iter(given.items()))
+    if given:
+        errors.add(paths[0], f"given more than once ({', '.join(given)})")
     else:
-        errors.add(shared_key, f"required ({shared_key} or {list_key})")
+        errors.add(paths[0], "required" + (f" ({' or '.join(paths)})" if len(paths) > 1 else ""))
+    return None
+
+
+def _per_variable(
+    doc: dict, sweep: dict, errors: _Collector, n: int, entry: Callable, shared: str, listed: str
+) -> list | None:
+    """n values of a parameter given once as ``shared`` or per variable as
+    ``listed``.  ``entry`` converts one raw value (a shared one once); its
+    first failure is recorded under ``shared[i]``."""
+    found = _one_of(doc, sweep, errors, shared, listed)
+    if found is None:
+        return None
+    path, raw = found
+    if path == shared:
+        value = _checked(errors, f"{shared}[0]", entry, raw)
+        return None if value is None else [value] * n
+    if _checked(errors, listed, _n_entries, raw, n) is None:
         return None
     values = []
     for i, value in enumerate(raw):
-        try:
-            values.append(entry(value))
-        except DomainError as exc:
-            errors.add(f"{shared_key}[{i}]", str(exc))
+        value = _checked(errors, f"{shared}[{i}]", entry, value)
+        if value is None:
             return None
-    return values if has_list else values * n
+        values.append(value)
+    return values
+
+
+def _spec_row(errors: _Collector, label: str, spec: Callable, *columns: Sequence) -> tuple | None:
+    """One class spec per variable, ``spec`` applied to the variable's entry
+    in each column and called once per distinct argument tuple.  The first
+    failure is recorded under ``label`` formatted with the variable's index,
+    and None returned."""
+    built: dict[tuple, Any] = {}
+    for i, args in enumerate(zip(*columns)):
+        if args not in built:
+            built[args] = _checked(errors, label.format(i), spec, *args)
+            if built[args] is None:
+                return None
+    return tuple(built[args] for args in zip(*columns))
+
+
+def _thresholds(doc: dict, sweep: dict, errors: _Collector) -> list[tuple[str, float]]:
+    """Each threshold with the path its violations are reported under."""
+    found = _one_of(doc, sweep, errors, "t", "sweep.t")
+    if found is None:
+        return []
+    path, raw = found
+    if path == "t":
+        t = _checked(errors, path, _number, raw)
+        return [] if t is None else [(path, t)]
+    ts = _checked(errors, path, _number_row, raw) or ()
+    return [(f"{path}[{i}]", t) for i, t in enumerate(ts)]
+
+
+def _sigma2_axis(axis: Any, errors: _Collector) -> tuple[float, ...] | None:
+    if isinstance(axis, list):
+        return _checked(errors, "sweep.sigma2", _number_row, axis)
+    if not isinstance(axis, dict):
+        errors.add("sweep.sigma2", "must be an array or a {start, stop, points} object")
+        return None
+    start, stop, points = (axis.get(key) for key in ("start", "stop", "points"))
+    if not all(map(_is_number, (start, stop, points))):
+        errors.add("sweep.sigma2", "grid form needs numeric start, stop, points")
+        return None
+    if not float(points).is_integer() or points < 1:
+        errors.add("sweep.sigma2.points", "must be a positive integer")
+        return None
+    if points == 1:
+        return (float(stop),)
+    step = (float(stop) - float(start)) / (int(points) - 1)
+    return tuple(float(start) + k * step for k in range(int(points)))
+
+
+def _partition(doc: dict, sweep: dict, errors: _Collector) -> PartitionSpec | None:
+    found = _one_of(doc, sweep, errors, "breakpoints")
+    return found and _checked(errors, found[0], lambda v: PartitionSpec(_number_row(v)), found[1])
+
+
+# Each level's spec rows from the document and the validated means (None for
+# the moments level, or when p is invalid), or None once a violation is
+# recorded: a variance row per sigma2 sweep point, a single row otherwise.
+
+
+def _mean_rows(doc, sweep, errors, n, means):
+    row = means and _spec_row(errors, "p[{}]", lambda p: MomentVector((p,)), means)
+    return row and [row]
+
+
+def _moment_rows(doc, sweep, errors, n, means):
+    moments = _per_variable(doc, sweep, errors, n, _number_row, "moments", "moments_list")
+    if moments and len(set(map(len, moments))) > 1:
+        errors.add("moments_list", "all variables must share the same moment order")
+        return None
+    label = "moments[{}]" if "moments_list" in doc else "moments"
+    row = moments and _spec_row(errors, label, MomentVector, moments)
+    return row and [row]
+
+
+def _variance_rows(doc, sweep, errors, n, means):
+    found = _one_of(doc, sweep, errors, "sigma2", "sigma2_list", "sweep.sigma2")
+    if found is None:
+        return None
+    path, raw = found
+    if path == "sigma2_list":
+        per_var = _checked(errors, path, lambda v: _n_entries(_number_row(v), n), raw)
+        if not means or per_var is None:
+            return None
+        rows = [_spec_row(errors, "sigma2[{}]", VarianceClassSpec, means, per_var)]
+    else:
+        # a row per sweep point, each variable sharing its sigma2
+        if path == "sweep.sigma2":
+            shared = _sigma2_axis(raw, errors)
+        else:
+            shared = _checked(errors, path, lambda v: (_number(v),), raw)
+        if not means or not shared:
+            return None
+        rows = [
+            _spec_row(errors, f"sigma2[{k}]", VarianceClassSpec, means, [s2] * n)
+            for k, s2 in enumerate(shared)
+        ]
+    return None if None in rows else rows
+
+
+def _cond_means_rows(doc, sweep, errors, n, means):
+    partition = _partition(doc, sweep, errors)
+    if partition is None or means is None:
+        return None
+    mus = _per_variable(doc, sweep, errors, n, _number_row, "mu", "mu_list")
+    row = mus and _spec_row(errors, "mu[{}]", ConditionalMeansSpec, [partition] * n, mus, means)
+    return row and [row]
+
+
+def _cond_probs_rows(doc, sweep, errors, n, means):
+    partition = _partition(doc, sweep, errors)
+    if partition is None or means is None:
+        return None
+    found = _one_of(doc, sweep, errors, "q")
+    q = found and _checked(errors, found[0], _number_row, found[1])
+    # the class carries one shared p
+    row = q and _spec_row(
+        errors, "q", ConditionalProbsSpec, [partition] * n, [q] * n, [means[0]] * n
+    )
+    return row and [row]
+
+
+_LEVEL_ROWS = {
+    "mean": _mean_rows,
+    "moments": _moment_rows,
+    "variance": _variance_rows,
+    "conditional-means": _cond_means_rows,
+    "conditional-probs": _cond_probs_rows,
+}
+INFORMATION_LEVELS = tuple(_LEVEL_ROWS)
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -254,6 +340,8 @@ def parse_instance(text: str) -> InstanceFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError([f"document: not valid JSON ({exc.msg} at line {exc.lineno})"])
+    except ValueError as exc:  # an integer literal past the int-conversion digit limit
+        raise ValidationError([f"document: not valid JSON ({exc})"])
     if not isinstance(doc, dict):
         raise ValidationError(["document: top level must be an object"])
 
@@ -268,157 +356,40 @@ def parse_instance(text: str) -> InstanceFile:
         )
         raise ValidationError(errors.violations)
 
-    n_raw = doc.get("n")
-    if not isinstance(n_raw, int) or isinstance(n_raw, bool) or n_raw < 1:
-        errors.add("n", f"must be a positive integer, got {n_raw!r}")
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        errors.add("n", f"must be a positive integer, got {n!r}")
         raise ValidationError(errors.violations)
-    n = n_raw
+    if n > sys.maxsize:
+        errors.add("n", f"must be at most {sys.maxsize}, got {n!r}")
+        raise ValidationError(errors.violations)
 
     sweep = doc.get("sweep", {})
     if not isinstance(sweep, dict):
         errors.add("sweep", "must be an object")
         sweep = {}
-    t_values = _parse_t_values(doc, sweep, errors)
+    thresholds = _thresholds(doc, sweep, errors)
 
-    # each spec is built once per distinct value and shared by every
-    # variable that has it
     means = None
-    spec_rows = None
-
-    if information in ("mean", "variance", "conditional-means", "conditional-probs"):
+    if information != "moments":
         if information == "conditional-probs" and "p_list" in doc:
             errors.add("p_list", "conditional-probs instances use a single shared p")
-        means = _shared_or_per_var(doc, "p", "p_list", n, errors, _probability)
-
-    if information == "mean" and means is not None:
-        mean_spec = functools.cache(MomentVector)
-        spec_rows = [tuple(mean_spec((p,)) for p in means)]
-
-    if information == "moments":
-        rows = _shared_or_per_var(doc, "moments", "moments_list", n, errors, _number_row)
-        if rows and len({len(r) for r in rows}) != 1:
-            errors.add("moments_list", "all variables must share the same moment order")
-            rows = None
-        if rows:
-            moment_spec = functools.cache(MomentVector)
-            specs = []
-            for i, row in enumerate(rows):
-                try:
-                    specs.append(moment_spec(row))
-                except DomainError as exc:
-                    errors.add(f"moments[{i}]" if "moments_list" in doc else "moments", str(exc))
-                    break
-            else:
-                spec_rows = [tuple(specs)]
-
-    if information == "variance":
-        sigma2_values: list[float] = []
-        per_var_sigma2 = None
-        sources = [k for k in ("sigma2", "sigma2_list") if k in doc]
-        if isinstance(sweep, dict) and "sigma2" in sweep:
-            sources.append("sweep.sigma2")
-        if len(sources) > 1:
-            errors.add("sigma2", f"given more than once ({', '.join(sources)})")
-        elif sources == ["sweep.sigma2"]:
-            sigma2_values = _parse_sigma2_axis(sweep, errors) or []
-        elif sources == ["sigma2_list"]:
-            values = _number_list(doc, "sigma2_list", errors)
-            if values is not None and len(values) != n:
-                errors.add("sigma2_list", f"must have exactly n={n} entries")
-            elif values is not None:
-                per_var_sigma2 = values
-        elif sources == ["sigma2"]:
-            if not _is_number(doc["sigma2"]):
-                errors.add("sigma2", "must be a number")
-            else:
-                sigma2_values = [float(doc["sigma2"])]
-        else:
-            errors.add("sigma2", "required (sigma2, sigma2_list, or sweep.sigma2)")
-        if means is not None:
-            variance_spec = functools.cache(VarianceClassSpec)
-            if per_var_sigma2 is not None:
-                sigma2_rows = [per_var_sigma2]
-                pairs = [(p, s2, i) for i, (p, s2) in enumerate(zip(means, per_var_sigma2))]
-            else:
-                sigma2_rows = [[s2] * n for s2 in sigma2_values]
-                pairs = [
-                    (p, s2, i)
-                    for i, s2 in enumerate(sigma2_values)
-                    for p in set(means)
-                ]
-            failed = False
-            for p, s2, i in pairs:
-                try:
-                    variance_spec(p, s2)
-                except DomainError as exc:
-                    errors.add(f"sigma2[{i}]", str(exc))
-                    failed = True
-            if sigma2_rows and not failed:
-                spec_rows = [tuple(map(variance_spec, means, row)) for row in sigma2_rows]
-
-    partition = None
-    if information in ("conditional-means", "conditional-probs"):
-        row = _number_list(doc, "breakpoints", errors)
-        if row is None:
-            if "breakpoints" not in doc:
-                errors.add("breakpoints", "required")
-        else:
-            try:
-                partition = PartitionSpec(tuple(row))
-            except DomainError as exc:
-                errors.add("breakpoints", str(exc))
-
-    if information == "conditional-means" and partition is not None and means is not None:
-        m = partition.n_cells
-        rows = _shared_or_per_var(doc, "mu", "mu_list", n, errors, _number_row)
-        if rows:
-            cond_means_spec = functools.cache(ConditionalMeansSpec)
-            specs = []
-            for i, row in enumerate(rows):
-                if len(row) != m:
-                    errors.add(f"mu[{i}]", f"must have one entry per cell (m={m})")
-                    break
-                try:
-                    specs.append(cond_means_spec(partition, row, means[i]))
-                except DomainError as exc:
-                    errors.add(f"mu[{i}]", str(exc))
-                    break
-            else:
-                spec_rows = [tuple(specs)]
-
-    if information == "conditional-probs" and partition is not None and means is not None:
-        row = _number_list(doc, "q", errors)
-        if row is None:
-            if "q" not in doc:
-                errors.add("q", "required")
-        elif len(row) != partition.n_cells:
-            errors.add("q", f"must have one entry per cell (m={partition.n_cells})")
-        else:
-            try:
-                spec_rows = [(ConditionalProbsSpec(partition, tuple(row), means[0]),) * n]
-            except DomainError as exc:
-                errors.add("q", str(exc))
+        means = _per_variable(doc, sweep, errors, n, _probability, "p", "p_list")
+    spec_rows = _LEVEL_ROWS[information](doc, sweep, errors, n, means)
 
     # threshold regime: n*p < t < n for every threshold in the grid
-    p_bar = None
-    if means is not None:
-        p_bar = math.fsum(means) / n
-    elif spec_rows is not None:
-        p_bar = math.fsum(spec.mean for spec in spec_rows[0]) / n
-    for i, t in enumerate(t_values):
-        label = "t" if len(t_values) == 1 and "t" in doc else f"sweep.t[{i}]"
-        if p_bar is None:
-            if not t < n:
-                errors.add(label, f"t must be below n = {n}, got {t!r}")
-            continue
-        try:
-            require_regime(n, p_bar, t)
-        except DomainError as exc:
-            errors.add(label, str(exc))
+    if means is None and spec_rows is not None:
+        means = [spec.mean for spec in spec_rows[0]]
+    p_bar = None if means is None else math.fsum(means) / n
+    for path, t in thresholds:
+        if p_bar is not None:
+            _checked(errors, path, require_regime, n, p_bar, t)
+        elif not t < n:
+            errors.add(path, f"t must be below n = {n}, got {t!r}")
 
     if errors.violations:
         raise ValidationError(errors.violations)
-    return InstanceFile(information, tuple(t_values), tuple(spec_rows))
+    return InstanceFile(information, tuple(t for _, t in thresholds), tuple(spec_rows))
 
 
 # -- serialization -----------------------------------------------------------------

@@ -80,7 +80,9 @@ class ConditionalMeansSpec:
     def __post_init__(self) -> None:
         mu = tuple(float(v) for v in self.mu)
         if len(mu) != self.partition.n_cells:
-            raise DomainError("one conditional mean per cell is required")
+            raise DomainError(
+                f"one conditional mean per cell is required (m={self.partition.n_cells})"
+            )
         for j, mu_j in enumerate(mu, start=1):
             if not _check_cell_mean(self.partition, j, mu_j):
                 raise DomainError(
@@ -111,7 +113,9 @@ class ConditionalProbsSpec:
     def __post_init__(self) -> None:
         q = tuple(float(v) for v in self.q)
         if len(q) != self.partition.n_cells:
-            raise DomainError("one cell probability per cell is required")
+            raise DomainError(
+                f"one cell probability per cell is required (m={self.partition.n_cells})"
+            )
         if any(v < 0.0 for v in q):
             raise DomainError("cell probabilities must be nonnegative")
         total = fsum(q)

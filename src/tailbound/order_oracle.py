@@ -361,9 +361,9 @@ def validate_bound(
         raise DomainError("trials must be nonnegative")
     violations: list[TailViolation] = []
     max_tail = 0.0
-    children = np.random.SeedSequence(seed).spawn(trials) if trials else []
     for k in range(trials):
-        rng = np.random.default_rng(children[k])
+        # the k-th child of SeedSequence(seed), drawn without spawning them all
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         members = tuple(sample_class_member(spec, rng) for spec in class_specs)
         tail = convolve(members).upper_tail(t)
         max_tail = max(max_tail, tail)

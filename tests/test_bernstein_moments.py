@@ -20,6 +20,7 @@ from tailbound import (
     MeanInstance,
     MomentVector,
     PreconditionError,
+    ResourceLimitError,
     bentkus_linear_bound,
     bernstein_weights,
     binomial_comparison_bound,
@@ -36,6 +37,8 @@ from tailbound import (
     upper_tail,
     z_nm_bound,
 )
+from tailbound import bernstein_moments
+from tailbound.distributions import MAX_SUPPORT_POINTS
 
 
 def test_moment_vector_validation():
@@ -180,6 +183,18 @@ def test_convolution_bound_with_one_moment_is_bentkus_up_to_large_n():
         assert z_nm_bound([mv] * n, t).value == pytest.approx(
             bentkus_linear_bound(MeanInstance(n, 0.3, t)).value, rel=1e-11, abs=0.0
         )
+
+
+def test_convolution_bound_refuses_a_grid_over_the_support_limit(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the grid size is checked before any envelope or convolution")
+
+    monkeypatch.setattr(bernstein_moments, "bernstein_weights", unreachable)
+    monkeypatch.setattr(bernstein_moments, "convolve", unreachable)
+    mv = MomentVector((0.3, 0.15))
+    n = MAX_SUPPORT_POINTS // mv.m + 1
+    with pytest.raises(ResourceLimitError, match=f"{n * mv.m} points"):
+        z_nm_bound([mv] * n, 0.4 * n)
 
 
 def test_convolution_bound_beats_exponential():

@@ -83,7 +83,7 @@ def test_feller_point_bound_known_values():
         feller_point_bound(spec, 5)  # i == n*p violates the strict precondition
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     n=st.integers(1, 60),
     p=st.floats(0.01, 0.99),

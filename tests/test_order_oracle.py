@@ -107,7 +107,7 @@ def test_nan_probability_is_rejected():
         DiscreteDist((0.0, 1.0), (1.0, math.nan))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     st.integers(0, 2**30),
     st.integers(1, 12),
@@ -148,7 +148,7 @@ def _quadratic_cut(dist, t):
     return [(dist.expected_positive_part(a) / (t - a), a) for a in candidates]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     st.integers(0, 2**30),
     st.integers(1, 60),
@@ -175,7 +175,7 @@ def test_best_linear_cut_matches_quadratic_definition(seed, size, kind, start):
         assert a_star == reference[0][1]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**30))
 def test_convolve_mean_is_additive(seed):
     rng = np.random.default_rng(seed)
@@ -312,6 +312,18 @@ def test_validate_bound_guards():
         validate_bound([MomentVector((0.5,))] * 9, 3.0, 1.0, 1, 0)
     empty = validate_bound([MomentVector((0.5,))] * 3, 2.0, 0.5, 0, 0)
     assert empty.ok and empty.trials == 0
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 2**31 - 1])
+def test_trial_seed_is_the_spawned_child(seed):
+    # validate_bound seeds trial k from SeedSequence(seed, spawn_key=(k,)),
+    # the state SeedSequence(seed).spawn(trials)[k] has, without spawning every trial up front
+    spawned = np.random.SeedSequence(seed).spawn(5)
+    for k in (0, 1, 4):
+        direct = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        child = np.random.default_rng(spawned[k])
+        assert direct.bit_generator.state == child.bit_generator.state
+        assert direct.random(3).tolist() == child.random(3).tolist()
 
 
 def test_unequal_bernoullis_dominated_by_averaged_binomial():
