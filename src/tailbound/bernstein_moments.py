@@ -16,7 +16,13 @@ from typing import Sequence
 
 from ._search import minimize_exp_tail
 from .binomial_core import BinomialSpec, upper_tail
-from .classic_bounds import BoundReport, make_report, require_regime
+from .classic_bounds import (
+    BoundReport,
+    VarianceClassSpec,
+    _require_integer_t,
+    make_report,
+    mean_regime,
+)
 from .distributions import MAX_SUPPORT_POINTS, DiscreteDist, best_linear_cut, convolve
 from .errors import (
     DomainError,
@@ -115,17 +121,12 @@ def t_nm_distribution(mvs: Sequence[MomentVector]) -> DiscreteDist:
     return DiscreteDist(support, [fsum(column) / len(mvs) for column in columns])
 
 
-def _require_mean_regime(mvs: Sequence[MomentVector], t: float) -> None:
-    n = len(mvs)
-    require_regime(n, fsum(mv.mean for mv in mvs) / n, t)
-
-
 def exp_moment_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     """inf over h > 0 of exp(-h t) (sum_j pi_j exp(h j / m))^n, with pi the
     averaged lattice weights."""
-    _require_mean_regime(mvs, t)
+    n, _ = mean_regime(mvs, t)
     dist = t_nm_distribution(mvs)
-    value, h_star = minimize_exp_tail(dist.support.tolist(), dist.probs.tolist(), len(mvs), t)
+    value, h_star = minimize_exp_tail(dist.support.tolist(), dist.probs.tolist(), n, t)
     return make_report("exp_moment", value, {"h": h_star})
 
 
@@ -133,8 +134,7 @@ def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     """Optimal piecewise-linear bound against the exact convolution of the
     per-variable lattice distributions on the grid {0, ..., n*m}/m."""
     m = _shared_order(mvs)
-    _require_mean_regime(mvs, t)
-    n = len(mvs)
+    n, _ = mean_regime(mvs, t)
     if n * m > MAX_SUPPORT_POINTS:
         raise ResourceLimitError(
             f"convolution grid would need {n * m} points (limit {MAX_SUPPORT_POINTS})"
@@ -158,7 +158,7 @@ def power_mean_sequence(mvs: Sequence[MomentVector]) -> list[float]:
     return qs
 
 
-def refined_binomial_bound(mvs: Sequence[MomentVector], t: int) -> BoundReport:
+def refined_binomial_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     """Binomial-comparison bound refined by higher moments.
 
     With q_s the averaged s-th power means, an integer threshold t lying in
@@ -170,13 +170,10 @@ def refined_binomial_bound(mvs: Sequence[MomentVector], t: int) -> BoundReport:
     and the minimum over s is returned.  The s = 1 term is the plain
     binomial comparison at (n, q_1, t).
     """
-    if not float(t).is_integer():
-        raise DomainError("the refined binomial bound requires an integer threshold")
-    t = int(t)
+    t = _require_integer_t(t, "the refined binomial bound")
     m = _shared_order(mvs)
-    n = len(mvs)
     qs = power_mean_sequence(mvs)
-    require_regime(n, qs[0], t)
+    n, _ = mean_regime(mvs, t)
     j = 0
     for s in range(1, m + 1):
         if n * qs[s - 1] + 1.0 < t:
@@ -202,12 +199,7 @@ def cohen_extremal(p: float, sigma2: float) -> DiscreteDist:
     """The two-point member of the mean-p variance-sigma2 class with the
     largest moments of every order: support {lambda, 1} with
     lambda = p - sigma2/(1-p)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError("p must lie in (0, 1)")
-    if not 0.0 < sigma2 <= p * (1.0 - p) + 1e-15:
-        raise DomainError(
-            f"sigma2 must satisfy 0 < sigma2 <= p(1-p) = {p * (1.0 - p)!r}"
-        )
+    VarianceClassSpec(p, sigma2)
     lam = p - sigma2 / (1.0 - p)
     if lam < -1e-15:
         raise DomainError(f"support point lambda={lam!r} fell below 0")

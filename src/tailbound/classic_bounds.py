@@ -8,7 +8,7 @@ vacuous but not wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, log, log1p
+from math import exp, floor, fsum, log, log1p
 from typing import Any, Mapping, Sequence
 
 from .errors import DomainError
@@ -23,31 +23,24 @@ def require_regime(n: int, p_bar: float, t: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class MeanInstance:
-    """A sum of n independent [0,1]-valued variables with average mean p,
-    queried at threshold t in the nontrivial regime n*p < t < n."""
+def mean_regime(specs: Sequence[Any], t: float) -> tuple[int, float]:
+    """The count n and average mean p_bar of per-variable class specs, after
+    :func:`require_regime` has accepted t for them."""
+    if not specs:
+        raise DomainError("at least one variable spec is required")
+    n = len(specs)
+    p_bar = fsum(spec.mean for spec in specs) / n
+    require_regime(n, p_bar, t)
+    return n, p_bar
 
-    n: int
-    p: float
-    t: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError("n must be a positive integer")
-        if not 0.0 < self.p < 1.0:
-            raise DomainError("p must lie in (0, 1)")
-        require_regime(self.n, self.p, self.t)
-
-    @classmethod
-    def from_means(cls, means: Sequence[float], t: float) -> "MeanInstance":
-        """Build from per-variable means; the bounds depend only on their average."""
-        if not means:
-            raise DomainError("means must be nonempty")
-        for m in means:
-            if not 0.0 < m < 1.0:
-                raise DomainError(f"each mean must lie in (0, 1), got {m!r}")
-        return cls(len(means), fsum(means) / len(means), t)
+def _require_integer_t(t: float, what: str) -> int:
+    if not float(t).is_integer():
+        raise DomainError(
+            f"{what} is defined for integer thresholds only; "
+            f"apply it at floor(t)={floor(t)} (the tail at t is at most the tail there)"
+        )
+    return int(t)
 
 
 @dataclass(frozen=True)
@@ -100,13 +93,11 @@ def make_report(
     return BoundReport(method, value, witness, clamped)
 
 
-def markov_bound(total_mean: float, t: float) -> BoundReport:
+def markov_bound(specs: Sequence[Any], t: float) -> BoundReport:
     """P[S >= t] <= E[S] / t for a nonnegative sum."""
     if t <= 0.0:
         raise DomainError("t must be positive")
-    if total_mean < 0.0:
-        raise DomainError("total_mean must be nonnegative")
-    return make_report("markov", total_mean / t)
+    return make_report("markov", fsum(spec.mean for spec in specs) / t)
 
 
 def _log_hoeffding(n: int, p: float, t: float) -> float:
@@ -115,22 +106,22 @@ def _log_hoeffding(n: int, p: float, t: float) -> float:
     )
 
 
-def optimal_exp_rate(inst: MeanInstance) -> float:
+def optimal_exp_rate(n: int, p: float, t: float) -> float:
     """The minimizing rate h of exp(-h t) (1 - p + p e^h)^n, as a log."""
-    n, p, t = inst.n, inst.p, inst.t
     return log(t) + log1p(-p) - log(p) - log(n - t)
 
 
-def hoeffding_bound(inst: MeanInstance) -> BoundReport:
+def hoeffding_bound(specs: Sequence[Any], t: float) -> BoundReport:
     """The optimized exponential-moment bound
     (p(n-t)/(t(1-p)))^t ((1-p)n/(n-t))^n, computed in log space."""
-    value = exp(_log_hoeffding(inst.n, inst.p, inst.t))
-    return make_report("hoeffding", value, {"h": optimal_exp_rate(inst)})
+    n, p = mean_regime(specs, t)
+    value = exp(_log_hoeffding(n, p, t))
+    return make_report("hoeffding", value, {"h": optimal_exp_rate(n, p, t)})
 
 
-def hoeffding_exp_bound(inst: MeanInstance) -> BoundReport:
+def hoeffding_exp_bound(specs: Sequence[Any], t: float) -> BoundReport:
     """The looser but more common form exp(-2 n (t/n - p)^2)."""
-    n, p, t = inst.n, inst.p, inst.t
+    n, p = mean_regime(specs, t)
     value = exp(-2.0 * n * (t / n - p) ** 2)
     return make_report("hoeffding_exp", value)
 

@@ -22,7 +22,6 @@ from .bernstein_moments import (
 )
 from .classic_bounds import (
     BoundReport,
-    MeanInstance,
     VarianceClassSpec,
     bennett_bound,
     hoeffding_bound,
@@ -62,10 +61,6 @@ FIGURE_GRID_POINTS = 50
 FIGURE_METHODS = ("bennett", "z_nm", "xi_sum")
 
 
-def _mean_instance(task: BoundTask) -> MeanInstance:
-    return MeanInstance.from_means(task.means, task.t)
-
-
 def _variance_moment_vectors(task: BoundTask) -> list[MomentVector]:
     # variance tasks feed the lattice machinery through (p, sigma2 + p^2)
     return [MomentVector((s.p, s.sigma2 + s.p * s.p)) for s in task.specs]
@@ -80,15 +75,17 @@ def _bennett(task: BoundTask) -> BoundReport:
 
 
 #: the methods each information level adds; every level fixes the means,
-#: so the ``mean`` level's methods apply to all of them
+#: so the ``mean`` level's methods apply to all of them.  Each row looks its
+#: bound up in this module when called, so a rebound name (a trace wrapper)
+#: is the one that runs.
 _LEVELS: dict[str, dict[str, Callable[[BoundTask], BoundReport]]] = {
     "mean": {
-        "markov": lambda task: markov_bound(math.fsum(task.means), task.t),
-        "hoeffding": lambda task: hoeffding_bound(_mean_instance(task)),
-        "hoeffding_exp": lambda task: hoeffding_exp_bound(_mean_instance(task)),
-        "bentkus_linear": lambda task: bentkus_linear_bound(_mean_instance(task)),
-        "missing_factor": lambda task: missing_factor_bound(_mean_instance(task)),
-        "binomial_comparison": lambda task: binomial_comparison_bound(_mean_instance(task)),
+        "markov": lambda task: markov_bound(task.specs, task.t),
+        "hoeffding": lambda task: hoeffding_bound(task.specs, task.t),
+        "hoeffding_exp": lambda task: hoeffding_exp_bound(task.specs, task.t),
+        "bentkus_linear": lambda task: bentkus_linear_bound(task.specs, task.t),
+        "missing_factor": lambda task: missing_factor_bound(task.specs, task.t),
+        "binomial_comparison": lambda task: binomial_comparison_bound(task.specs, task.t),
     },
     "moments": {
         "exp_moment": lambda task: exp_moment_bound(task.specs, task.t),
@@ -104,9 +101,7 @@ _LEVELS: dict[str, dict[str, Callable[[BoundTask], BoundReport]]] = {
         "conditional_means": lambda task: conditional_means_bound(task.specs, task.t),
     },
     "conditional-probs": {
-        "conditional_probs": lambda task: conditional_probs_bound(
-            task.specs[0], task.n, task.t
-        ),
+        "conditional_probs": lambda task: conditional_probs_bound(task.specs, task.t),
     },
 }
 

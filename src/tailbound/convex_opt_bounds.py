@@ -8,30 +8,23 @@ estimate yields the binomial comparison bound.
 
 from __future__ import annotations
 
-from math import ceil, e, exp, floor
+from math import ceil, e, exp
+from typing import Any, Sequence
 
 from .binomial_core import BinomialSpec, binomial_dist, log_pmf, upper_tail
 from .classic_bounds import (
     BoundReport,
-    MeanInstance,
+    _require_integer_t,
     hoeffding_bound,
     make_report,
+    mean_regime,
     optimal_exp_rate,
 )
 from .distributions import best_linear_cut
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 
 
-def _require_integer_t(t: float, what: str) -> int:
-    if not float(t).is_integer():
-        raise DomainError(
-            f"{what} is defined for integer thresholds only; "
-            f"apply it at floor(t)={floor(t)} (the tail at t is at most the tail there)"
-        )
-    return int(t)
-
-
-def bentkus_linear_bound(inst: MeanInstance) -> BoundReport:
+def bentkus_linear_bound(specs: Sequence[Any], t: float) -> BoundReport:
     """min over integers j < t of E[max(0, B - j)] / (t - j), B ~ Bin(n, p).
 
     The objective, as a function of the slope of the underlying piecewise
@@ -39,7 +32,8 @@ def bentkus_linear_bound(inst: MeanInstance) -> BoundReport:
     integer breakpoints j in {0, ..., ceil(t)-1} can be optimal.  Ties are
     broken toward the largest j for deterministic output.
     """
-    value, j_star = best_linear_cut(binomial_dist(BinomialSpec(inst.n, inst.p)), inst.t)
+    n, p = mean_regime(specs, t)
+    value, j_star = best_linear_cut(binomial_dist(BinomialSpec(n, p)), t)
     return make_report("bentkus_linear", value, {"epsilon": j_star})
 
 
@@ -48,7 +42,7 @@ def missing_factor_threshold(n: int, p: float) -> float:
     return e * n * p / (e * p - p + 1.0)
 
 
-def missing_factor_bound(inst: MeanInstance) -> BoundReport:
+def missing_factor_bound(specs: Sequence[Any], t: float) -> BoundReport:
     """The exponential bound sharpened by the factor (1+h)/e^h < 1.
 
     With H the optimized exponential bound at rate h (e^h = t(1-p)/(p(n-t)))
@@ -60,8 +54,8 @@ def missing_factor_bound(inst: MeanInstance) -> BoundReport:
     h >= 1.  The rate is not searched; the closed form above is optimal for
     the exponential family.
     """
-    n, p = inst.n, inst.p
-    t = _require_integer_t(inst.t, "the missing-factor bound")
+    n, p = mean_regime(specs, t)
+    t = _require_integer_t(t, "the missing-factor bound")
     threshold = missing_factor_threshold(n, p)
     if t + 1e-12 < threshold:
         min_t = int(ceil(threshold - 1e-12))
@@ -70,20 +64,20 @@ def missing_factor_bound(inst: MeanInstance) -> BoundReport:
             f"{threshold!r} <= t < {n} (smallest admissible integer t is {min_t})"
         )
     spec = BinomialSpec(n, p)
-    h = optimal_exp_rate(inst)
+    h = optimal_exp_rate(n, p, t)
     factor = (1.0 + h) * exp(-h)
-    hoeffding_value = hoeffding_bound(inst).value
+    hoeffding_value = hoeffding_bound(specs, t).value
     correction = sum(exp(h * (i - t) + log_pmf(spec, i)) for i in range(t))
     point_mass = exp(log_pmf(spec, t))
     raw = factor * (hoeffding_value - correction) + (1.0 - factor) * point_mass
     return make_report("missing_factor", raw, {"h": h, "factor": factor})
 
 
-def binomial_comparison_bound(inst: MeanInstance) -> BoundReport:
+def binomial_comparison_bound(specs: Sequence[Any], t: float) -> BoundReport:
     """((t - t p)/(t - n p)) * P[B >= t] for integer t; the factor can exceed
     1/P[B >= t] near n*p, in which case the value clamps to one."""
-    n, p = inst.n, inst.p
-    t = _require_integer_t(inst.t, "the binomial comparison bound")
+    n, p = mean_regime(specs, t)
+    t = _require_integer_t(t, "the binomial comparison bound")
     factor = (t - t * p) / (t - n * p)
     raw = factor * upper_tail(BinomialSpec(n, p), t)
     return make_report("binomial_comparison", raw, {"factor": factor})

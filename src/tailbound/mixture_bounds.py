@@ -17,11 +17,10 @@ from typing import Sequence
 from ._search import minimize_exp_tail
 from .classic_bounds import (
     BoundReport,
-    MeanInstance,
     VarianceClassSpec,
     make_report,
+    mean_regime,
     optimal_exp_rate,
-    require_regime,
 )
 from .distributions import DiscreteDist, best_linear_cut, convolve
 from .errors import DomainError
@@ -164,14 +163,12 @@ def conditional_means_bound(
     the bound is inf over h > 0 of
     exp(-h t) (pi_1 + e^{h r_1} pi_2 + e^{h r_{m-1}} pi_3 + e^{h} pi_4)^n.
     """
-    if not specs:
-        raise DomainError("at least one variable spec is required")
-    partition = specs[0].partition
-    if any(spec.partition != partition for spec in specs):
+    # empty specs pass this check and are refused by mean_regime
+    if any(spec.partition != specs[0].partition for spec in specs):
         raise DomainError("all variables must share the same partition")
-    r = partition.breakpoints
-    m = partition.n_cells
-    n = len(specs)
+    n, _ = mean_regime(specs, t)
+    r = specs[0].partition.breakpoints
+    m = specs[0].partition.n_cells
     q_list, s_list, u_list = [], [], []
     for spec in specs:
         # the spec guarantees mu_1 < r_1 <= r_{m-1} <= mu_m and mu_1 <= p <= mu_m
@@ -183,8 +180,6 @@ def conditional_means_bound(
     pi2 = fsum(q * (1.0 - s) for q, s in zip(q_list, s_list)) / n
     pi3 = fsum((1.0 - q) * u for q, u in zip(q_list, u_list)) / n
     pi4 = fsum((1.0 - q) * (1.0 - u) for q, u in zip(q_list, u_list)) / n
-    p_bar = fsum(spec.p for spec in specs) / n
-    require_regime(n, p_bar, t)
     envelope = DiscreteDist.from_pairs(
         [(0.0, pi1), (r[1], pi2), (r[m - 1], pi3), (1.0, pi4)]
     )
@@ -225,9 +220,10 @@ def _lp_extremal_means(spec: ConditionalProbsSpec) -> tuple[float, ...]:
 
 
 def conditional_probs_bound(
-    spec: ConditionalProbsSpec, n: int, t: float
+    specs: Sequence[ConditionalProbsSpec], t: float
 ) -> BoundReport:
-    """Exponential bound for known cell probabilities.
+    """Exponential bound for n variables sharing one known-cell-probabilities
+    spec.
 
     At the rate h with e^h = t(1-p)/(p(n-t)) -- the optimal rate for the
     mean-only exponential bound -- the worst envelope over all admissible
@@ -235,8 +231,13 @@ def conditional_probs_bound(
     budget constraint; its greedy vertex solution gives the reported value
     exp(-h t) (E[e^{h xi}])^n.
     """
-    p = spec.p
-    h = optimal_exp_rate(MeanInstance(n, p, t))
+    n, _ = mean_regime(specs, t)
+    spec = specs[0]
+    if specs.count(spec) != n:
+        raise DomainError(
+            "the conditional-probabilities bound requires one shared (partition, q, p) spec"
+        )
+    h = optimal_exp_rate(n, spec.p, t)
     mus = _lp_extremal_means(spec)
     # a full cell's mean equals the next cell's lower endpoint, so only the
     # cells with mass keep the support strictly ascending
@@ -281,11 +282,7 @@ def xi_sum_bound(vclasses: Sequence[VarianceClassSpec], t: float) -> BoundReport
 
     The cut is ``best_linear_cut`` over the support of the sum.
     """
-    if not vclasses:
-        raise DomainError("at least one variance class is required")
-    n = len(vclasses)
-    p_bar = fsum(v.p for v in vclasses) / n
-    require_regime(n, p_bar, t)
+    mean_regime(vclasses, t)
     xis = {v: xi_distribution(v) for v in dict.fromkeys(vclasses)}
     total = convolve([xis[v] for v in vclasses])
     best_value, best_eps = best_linear_cut(total, t)

@@ -47,6 +47,11 @@ def hoeffding_exact_log_free(n: int, p: float, t: float) -> float:
     return (p * (n - t) / (t * (1 - p))) ** t * ((1 - p) * n / (n - t)) ** n
 
 
+def mean_specs(n: int, p: float) -> tuple[MomentVector, ...]:
+    """n variables that each have mean p: the mean level's class specs."""
+    return (MomentVector((p,)),) * n
+
+
 def random_unit_dist(
     rng: np.random.Generator, max_points: int = 4, min_points: int = 2
 ) -> DiscreteDist:

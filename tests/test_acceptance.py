@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     binom_pmf_exact,
     binom_tail_exact,
+    mean_specs,
     moment_vector_of,
     prob_at,
     random_task,
@@ -22,7 +23,6 @@ from helpers import (
 from tailbound import (
     BinomialSpec,
     DiscreteDist,
-    MeanInstance,
     MomentVector,
     PartitionSpec,
     VarianceClassSpec,
@@ -63,7 +63,7 @@ def criterion(number, description):
 def test_criterion_01_hoeffding_closed_form():
     with criterion(1, "closed-form optimized exponential bound and grid oracle"):
         start = time.perf_counter()
-        value = hoeffding_bound(MeanInstance(10, 0.5, 6)).value
+        value = hoeffding_bound(mean_specs(10, 0.5), 6).value
         assert value == pytest.approx(0.817622, abs=1e-6)
         h = np.linspace(10.0 / 10**6, 10.0, 10**6)
         grid_min = float(np.exp((-h * 6 + 10 * np.log1p(0.5 * np.expm1(h))).min()))
@@ -74,7 +74,7 @@ def test_criterion_01_hoeffding_closed_form():
 
 def test_criterion_02_missing_factor_reproduction():
     with criterion(2, "sharpened-factor bound value and point-tail sandwich"):
-        report = missing_factor_bound(MeanInstance(10, 0.5, 8))
+        report = missing_factor_bound(mean_specs(10, 0.5), 8)
         # reference from the stated oracle: direct formula evaluation with
         # exact rational pmf (45/1024 + (1+ln 4)/4 * 56/1024 = 0.0765704307)
         exp_h = 4.0
@@ -100,13 +100,13 @@ def test_criterion_02_missing_factor_reproduction():
 
 def test_criterion_03_binomial_comparison_reproduction():
     with criterion(3, "binomial comparison value and near-mean clamping"):
-        report = binomial_comparison_bound(MeanInstance(10, 0.5, 8))
+        report = binomial_comparison_bound(mean_specs(10, 0.5), 8)
         exact = Fraction(4, 3) * binom_tail_exact(10, 8, HALF)
         assert exact == Fraction(7, 96)
         assert report.value == pytest.approx(float(exact), abs=1e-9)
         assert not report.clamped
 
-        near_mean = binomial_comparison_bound(MeanInstance(10, 0.5, 6))
+        near_mean = binomial_comparison_bound(mean_specs(10, 0.5), 6)
         raw = 3 * binom_tail_exact(10, 6, HALF)
         assert float(raw) == pytest.approx(1.13086, abs=1e-5)
         assert near_mean.value == 1.0 and near_mean.clamped
@@ -114,11 +114,11 @@ def test_criterion_03_binomial_comparison_reproduction():
 
 def test_criterion_04_breakpoint_optimum():
     with criterion(4, "optimal piecewise-linear bound at the integer breakpoint"):
-        report = bentkus_linear_bound(MeanInstance(10, 0.5, 6))
+        report = bentkus_linear_bound(mean_specs(10, 0.5), 6)
         assert report.value == pytest.approx(float(Fraction(630, 1024)), rel=1e-12)
         assert report.witness["epsilon"] == 5.0
-        assert report.value <= markov_bound(5.0, 6.0).value  # 5/6
-        assert report.value <= hoeffding_bound(MeanInstance(10, 0.5, 6)).value
+        assert report.value <= markov_bound(mean_specs(10, 0.5), 6).value  # 5/6
+        assert report.value <= hoeffding_bound(mean_specs(10, 0.5), 6).value
 
 
 def test_criterion_05_variance_bound_identity():
@@ -129,7 +129,7 @@ def test_criterion_05_variance_bound_identity():
             p = float(rng.uniform(0.1, 0.9))
             t = float(n * p + (n - n * p) * rng.uniform(0.05, 0.9))
             full = bennett_bound(n, VarianceClassSpec(p, p * (1 - p)), t).value
-            mean_only = hoeffding_bound(MeanInstance(n, p, t)).value
+            mean_only = hoeffding_bound(mean_specs(n, p), t).value
             assert full == pytest.approx(mean_only, rel=1e-9)
 
 

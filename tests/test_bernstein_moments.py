@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     binom_tail_exact,
+    mean_specs,
     moment_vector_of,
     random_unit_dist,
     variance,
@@ -17,7 +18,6 @@ from tailbound import (
     DomainError,
     InfeasibleMomentError,
     InternalConsistencyError,
-    MeanInstance,
     MomentVector,
     PreconditionError,
     ResourceLimitError,
@@ -108,19 +108,19 @@ def test_averaged_weights():
 def test_exp_moment_reduces_to_mean_only_bound():
     mvs = [MomentVector((0.5,))] * 10
     assert exp_moment_bound(mvs, 6.0).value == pytest.approx(
-        hoeffding_bound(MeanInstance(10, 0.5, 6.0)).value, rel=1e-9
+        hoeffding_bound(mean_specs(10, 0.5), 6.0).value, rel=1e-9
     )
     # order-2 moments of a Bernoulli collapse to the same bound
     mvs2 = [MomentVector((0.5, 0.5))] * 10
     assert exp_moment_bound(mvs2, 8.0).value == pytest.approx(
-        hoeffding_bound(MeanInstance(10, 0.5, 8.0)).value, rel=1e-9
+        hoeffding_bound(mean_specs(10, 0.5), 8.0).value, rel=1e-9
     )
 
 
 def test_exp_moment_with_second_moment_cannot_be_worse():
     mvs = [MomentVector((0.5, 0.3))] * 10
     value = exp_moment_bound(mvs, 8.0).value
-    assert value <= hoeffding_bound(MeanInstance(10, 0.5, 8.0)).value + 1e-12
+    assert value <= hoeffding_bound(mean_specs(10, 0.5), 8.0).value + 1e-12
     # the lattice envelope is dominated by the two-point envelope
     cert = check_convex_order(
         t_nm_distribution([MomentVector((0.5, 0.3))]),
@@ -146,7 +146,7 @@ def test_convolution_bound_reduces_to_breakpoint_search():
     mvs = [MomentVector((0.5,))] * 10
     for t in (6.0, 7.25, 8.0):
         assert z_nm_bound(mvs, t).value == pytest.approx(
-            bentkus_linear_bound(MeanInstance(10, 0.5, t)).value, abs=1e-12
+            bentkus_linear_bound(mean_specs(10, 0.5), t).value, abs=1e-12
         )
 
 
@@ -181,7 +181,7 @@ def test_convolution_bound_with_one_moment_is_bentkus_up_to_large_n():
         assert support.tolist() == list(map(float, range(n + 1)))
         t = 0.45 * n
         assert z_nm_bound([mv] * n, t).value == pytest.approx(
-            bentkus_linear_bound(MeanInstance(n, 0.3, t)).value, rel=1e-11, abs=0.0
+            bentkus_linear_bound(mean_specs(n, 0.3), t).value, rel=1e-11, abs=0.0
         )
 
 
@@ -212,7 +212,7 @@ def test_second_moment_of_lattice_variable():
 def test_refined_comparison_with_single_moment_is_plain_comparison():
     mvs = [MomentVector((0.5,))] * 10
     report = refined_binomial_bound(mvs, 8)
-    plain = binomial_comparison_bound(MeanInstance(10, 0.5, 8.0))
+    plain = binomial_comparison_bound(mean_specs(10, 0.5), 8.0)
     assert report.value == pytest.approx(plain.value, rel=1e-12)
     assert report.witness["s"] == 1.0
 
@@ -221,7 +221,7 @@ def test_refined_comparison_first_interval_uses_only_s1():
     # q = (0.3, 0.5): thresholds in (4, 6] only admit the s=1 term
     mvs = [MomentVector((0.3, 0.25))] * 10
     report = refined_binomial_bound(mvs, 6)
-    plain = binomial_comparison_bound(MeanInstance(10, 0.3, 6.0))
+    plain = binomial_comparison_bound(mean_specs(10, 0.3), 6.0)
     assert report.witness["s"] == 1.0
     assert report.value == pytest.approx(plain.value, rel=1e-12)
 

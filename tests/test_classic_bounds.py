@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from helpers import mean_specs
 from tailbound import (
     DomainError,
-    MeanInstance,
+    MomentVector,
     VarianceClassSpec,
     bennett_bound,
     hoeffding_bound,
     hoeffding_exp_bound,
     markov_bound,
 )
+from tailbound.classic_bounds import mean_regime
 
 
 def grid_min_exp_bound(n, p, t, points=10**6, h_max=10.0):
@@ -30,59 +32,59 @@ def random_instances(seed, count, n_max=40):
         n = int(rng.integers(2, n_max))
         p = float(rng.uniform(0.1, 0.9))
         t = float(n * p + (n - n * p) * rng.uniform(0.1, 0.75))
-        inst = MeanInstance(n, p, t)
         # keep the optimal rate well inside the oracle's h-grid
         if math.log(t * (1 - p) / (p * (n - t))) < 8.0:
-            out.append(inst)
+            out.append((n, p, t))
     return out
 
 
 def test_markov_examples():
-    assert markov_bound(2.0, 4.0).value == 0.5
-    exactly_one = markov_bound(5.0, 5.0)
+    assert markov_bound(mean_specs(4, 0.5), 4.0).value == 0.5
+    exactly_one = markov_bound(mean_specs(10, 0.5), 5.0)
     assert exactly_one.value == 1.0 and not exactly_one.clamped
-    clipped = markov_bound(6.0, 5.0)
+    clipped = markov_bound(mean_specs(12, 0.5), 5.0)
     assert clipped.value == 1.0 and clipped.clamped
     with pytest.raises(DomainError):
-        markov_bound(2.0, 0.0)
+        markov_bound(mean_specs(4, 0.5), 0.0)
 
 
-def test_mean_instance_validation():
+def test_mean_regime_validation():
     with pytest.raises(DomainError):
-        MeanInstance(10, 0.5, 5.0)  # t == n*p
+        mean_regime(mean_specs(10, 0.5), 5.0)  # t == n*p
     with pytest.raises(DomainError):
-        MeanInstance(10, 0.5, 10.0)  # t == n
+        mean_regime(mean_specs(10, 0.5), 10.0)  # t == n
     with pytest.raises(DomainError):
-        MeanInstance(10, 1.2, 6.0)
-    inst = MeanInstance.from_means([0.4, 0.6, 0.5], 2.0)
-    assert inst.n == 3 and inst.p == pytest.approx(0.5)
+        mean_specs(10, 1.2)
+    with pytest.raises(DomainError):
+        mean_regime((), 1.0)
+    n, p_bar = mean_regime([MomentVector((m,)) for m in (0.4, 0.6, 0.5)], 2.0)
+    assert n == 3 and p_bar == pytest.approx(0.5)
 
 
 def test_hoeffding_known_values():
-    assert hoeffding_bound(MeanInstance(10, 0.5, 6)).value == pytest.approx(
+    assert hoeffding_bound(mean_specs(10, 0.5), 6).value == pytest.approx(
         0.817622, abs=1e-6
     )
-    assert hoeffding_bound(MeanInstance(10, 0.5, 8)).value == pytest.approx(
+    assert hoeffding_bound(mean_specs(10, 0.5), 8).value == pytest.approx(
         0.145519, abs=1e-6
     )
 
 
 def test_hoeffding_witness_is_the_optimal_rate():
-    inst = MeanInstance(10, 0.5, 8)
-    h = hoeffding_bound(inst).witness["h"]
+    h = hoeffding_bound(mean_specs(10, 0.5), 8).witness["h"]
     assert math.exp(h) == pytest.approx(8 * 0.5 / (0.5 * 2), rel=1e-12)
 
 
 def test_hoeffding_limit_toward_n():
     n, p = 7, 0.35
-    value = hoeffding_bound(MeanInstance(n, p, n - 1e-6)).value
+    value = hoeffding_bound(mean_specs(n, p), n - 1e-6).value
     assert value == pytest.approx(p**n, abs=1e-4)
 
 
 def test_hoeffding_matches_grid_minimization():
-    for inst in random_instances(seed=20260810, count=50):
-        oracle = grid_min_exp_bound(inst.n, inst.p, inst.t)
-        assert hoeffding_bound(inst).value == pytest.approx(oracle, rel=1e-9)
+    for n, p, t in random_instances(seed=20260810, count=50):
+        oracle = grid_min_exp_bound(n, p, t)
+        assert hoeffding_bound(mean_specs(n, p), t).value == pytest.approx(oracle, rel=1e-9)
 
 
 def test_no_sampled_submultiplicative_function_beats_it_at_integer_t():
@@ -95,7 +97,7 @@ def test_no_sampled_submultiplicative_function_beats_it_at_integer_t():
         if not candidates:
             continue
         t = int(rng.choice(candidates))
-        best = hoeffding_bound(MeanInstance(n, p, float(t))).value
+        best = hoeffding_bound(mean_specs(n, p), float(t)).value
         for _ in range(50):
             h = float(rng.uniform(0.01, 6.0))
             c = float(rng.uniform(0.01, 6.0))
@@ -109,22 +111,23 @@ def test_no_sampled_submultiplicative_function_beats_it_at_integer_t():
 
 def test_exp_form_is_looser():
     for n, p, t in ((10, 0.5, 6), (10, 0.5, 8)):
-        inst = MeanInstance(n, p, t)
-        tight = hoeffding_bound(inst).value
-        loose = hoeffding_exp_bound(inst).value
+        specs = mean_specs(n, p)
+        tight = hoeffding_bound(specs, t).value
+        loose = hoeffding_exp_bound(specs, t).value
         assert loose == pytest.approx(math.exp(-2 * n * (t / n - p) ** 2), rel=1e-12)
         assert tight <= loose
-    assert hoeffding_exp_bound(MeanInstance(10, 0.5, 6)).value == pytest.approx(
+    assert hoeffding_exp_bound(mean_specs(10, 0.5), 6).value == pytest.approx(
         math.exp(-0.2), rel=1e-12
     )
-    assert hoeffding_exp_bound(MeanInstance(10, 0.5, 5 + 1e-9)).value == pytest.approx(
+    assert hoeffding_exp_bound(mean_specs(10, 0.5), 5 + 1e-9).value == pytest.approx(
         1.0, abs=1e-9
     )
 
 
 def test_exp_form_is_looser_on_random_instances():
-    for inst in random_instances(seed=99, count=50):
-        assert hoeffding_bound(inst).value <= hoeffding_exp_bound(inst).value + 1e-15
+    for n, p, t in random_instances(seed=99, count=50):
+        specs = mean_specs(n, p)
+        assert hoeffding_bound(specs, t).value <= hoeffding_exp_bound(specs, t).value + 1e-15
 
 
 def test_variance_spec_validation():
@@ -154,9 +157,8 @@ def test_bennett_identity_random():
         n = int(rng.integers(2, 60))
         p = float(rng.uniform(0.1, 0.9))
         t = float(n * p + (n - n * p) * rng.uniform(0.05, 0.9))
-        inst = MeanInstance(n, p, t)
         identity = bennett_bound(n, VarianceClassSpec(p, p * (1 - p)), t).value
-        assert identity == pytest.approx(hoeffding_bound(inst).value, rel=1e-9)
+        assert identity == pytest.approx(hoeffding_bound(mean_specs(n, p), t).value, rel=1e-9)
 
 
 def test_bennett_never_exceeds_mean_only_bound():
@@ -167,7 +169,7 @@ def test_bennett_never_exceeds_mean_only_bound():
         s2 = float(rng.uniform(0.02, 1.0)) * p * (1 - p)
         t = float(n * p + (n - n * p) * rng.uniform(0.05, 0.9))
         bennett = bennett_bound(n, VarianceClassSpec(p, s2), t).value
-        hoeffding = hoeffding_bound(MeanInstance(n, p, t)).value
+        hoeffding = hoeffding_bound(mean_specs(n, p), t).value
         assert bennett <= hoeffding + 1e-12
 
 
@@ -177,10 +179,10 @@ def test_reports_stay_in_unit_interval():
         n = int(rng.integers(2, 30))
         p = float(rng.uniform(0.1, 0.9))
         t = float(n * p + (n - n * p) * rng.uniform(0.02, 0.98))
-        inst = MeanInstance(n, p, t)
+        specs = mean_specs(n, p)
         for report in (
-            hoeffding_bound(inst),
-            hoeffding_exp_bound(inst),
-            markov_bound(n * p, t),
+            hoeffding_bound(specs, t),
+            hoeffding_exp_bound(specs, t),
+            markov_bound(specs, t),
         ):
             assert 0.0 <= report.value <= 1.0

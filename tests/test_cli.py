@@ -12,7 +12,20 @@ from pathlib import Path
 import pytest
 
 import tailbound
-from tailbound import BoundReport, cli, instance_io
+from helpers import mean_specs
+from tailbound import (
+    BoundReport,
+    BoundTask,
+    ConditionalMeansSpec,
+    ConditionalProbsSpec,
+    MomentVector,
+    PartitionSpec,
+    SkippedMethod,
+    VarianceClassSpec,
+    cli,
+    instance_io,
+)
+from tailbound.classic_bounds import make_report
 from tailbound.cli import main
 
 MEAN_8 = {"schema_version": 1, "information": "mean", "n": 10, "p": 0.5, "t": 8}
@@ -258,6 +271,69 @@ def test_verify_oracle_resource_limit_is_input_error(tmp_path, capsys):
 
 def test_every_information_level_has_methods():
     assert set(cli._LEVELS) == set(instance_io.INFORMATION_LEVELS)
+
+
+#: one hand-made task per information level: n = 10 variables, mean 0.5 each
+LEVEL_TASKS = {
+    "mean": BoundTask("mean", 8.0, mean_specs(10, 0.5)),
+    "moments": BoundTask("moments", 8.0, (MomentVector((0.5, 0.3)),) * 10),
+    "variance": BoundTask("variance", 8.0, (VarianceClassSpec(0.5, 0.05),) * 10),
+    "conditional-means": BoundTask(
+        "conditional-means",
+        8.0,
+        (ConditionalMeansSpec(PartitionSpec((0.0, 0.25, 0.75, 1.0)), (0.2, 0.5, 0.8), 0.5),)
+        * 10,
+    ),
+    "conditional-probs": BoundTask(
+        "conditional-probs",
+        8.0,
+        (ConditionalProbsSpec(PartitionSpec((0.0, 0.4, 1.0)), (0.5, 0.5), 0.5),) * 10,
+    ),
+}
+#: every method compute_bounds offers at every level
+LEVEL_METHODS = [
+    (level, name)
+    for level in cli._LEVELS
+    for name in {**cli._LEVELS["mean"], **cli._LEVELS[level]}
+]
+
+
+def test_level_methods_cover_all_thirteen_bounds():
+    assert set(LEVEL_TASKS) == set(cli._LEVELS)
+    assert len({name for _, name in LEVEL_METHODS}) == 13
+
+
+@pytest.mark.parametrize("level,name", LEVEL_METHODS)
+@pytest.mark.parametrize("t", [5.0, 10.0])
+def test_every_method_refuses_thresholds_outside_the_regime(level, name, t):
+    task = dataclasses.replace(LEVEL_TASKS[level], t=t)
+    (row,) = cli.compute_bounds(task, [name])
+    if name == "markov":
+        assert isinstance(row, BoundReport) and row.value == 5.0 / t
+        return
+    assert isinstance(row, SkippedMethod)
+    # refined_binomial checks the regime at its integer threshold
+    assert re.fullmatch(
+        r"t must exceed n\*p = 5\.0 and lie below n = 10, got (5|10)(\.0)?", row.reason
+    ), row.reason
+
+
+@pytest.mark.parametrize("level,name", LEVEL_METHODS)
+def test_compute_bounds_calls_the_method_bound_to_cli(level, name, monkeypatch):
+    task = LEVEL_TASKS[level]
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return make_report(name, 0.25)
+
+    monkeypatch.setattr(cli, f"{name}_bound", stub)
+    (row,) = cli.compute_bounds(task, [name])
+    assert (row.method, row.value, row.n, row.t) == (name, 0.25, 10, 8.0)
+    (args,) = calls
+    assert args[-1] == task.t
+    if (level, name) not in {("variance", "bennett"), ("variance", "z_nm")}:
+        assert args == (task.specs, task.t)
 
 
 def test_readme_method_table_lists_every_method():

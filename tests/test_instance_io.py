@@ -10,7 +10,6 @@ from tailbound import (
     BoundReport,
     ConditionalMeansSpec,
     ConditionalProbsSpec,
-    MeanInstance,
     MomentVector,
     SkippedMethod,
     ValidationError,
@@ -136,7 +135,7 @@ def test_tasks_carry_level_specs(name):
         for row in compute_bounds(task):
             assert (row.n, row.p_or_q1, row.sigma2, row.t) == context, row.method
         # the bound functions themselves return no context
-        direct = [hoeffding_bound(MeanInstance.from_means(task.means, task.t))]
+        direct = [hoeffding_bound(task.specs, task.t)]
         if task.information == "variance":
             direct.append(xi_sum_bound(task.specs, task.t))
         for report in direct:

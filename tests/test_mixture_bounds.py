@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import prob_at, random_unit_dist
+from helpers import mean_specs, prob_at, random_unit_dist
 from tailbound import (
     ConditionalMeansSpec,
     ConditionalProbsSpec,
     DiscreteDist,
     DomainError,
-    MeanInstance,
     PartitionSpec,
     VarianceClassSpec,
     bennett_bound,
@@ -70,7 +69,7 @@ def test_conditional_means_reduces_to_mean_only_bound():
     for t in (6.0, 8.0):
         value = conditional_means_bound([spec] * 10, t).value
         assert value == pytest.approx(
-            hoeffding_bound(MeanInstance(10, 0.5, t)).value, rel=1e-9
+            hoeffding_bound(mean_specs(10, 0.5), t).value, rel=1e-9
         )
 
 
@@ -88,7 +87,7 @@ def test_conditional_means_worked_example():
         0.1 + 0.4 * np.exp(h * 0.25) + 0.4 * np.exp(h * 0.75) + 0.1 * np.exp(h)
     )
     assert report.value == pytest.approx(float(np.exp(objective.min())), abs=1e-8)
-    assert report.value < hoeffding_bound(MeanInstance(10, 0.5, 8.0)).value
+    assert report.value < hoeffding_bound(mean_specs(10, 0.5), 8.0).value
 
 
 def test_conditional_means_weights_always_sum_to_one():
@@ -122,17 +121,29 @@ def test_conditional_means_spec_validation():
 
 def test_conditional_probs_extremal_is_bernoulli_when_admissible():
     spec = ConditionalProbsSpec(PartitionSpec((0.0, 0.4, 1.0)), (0.5, 0.5), 0.5)
-    report = conditional_probs_bound(spec, 10, 8.0)
+    report = conditional_probs_bound((spec,) * 10, 8.0)
     assert report.value == pytest.approx(
-        hoeffding_bound(MeanInstance(10, 0.5, 8.0)).value, rel=1e-12
+        hoeffding_bound(mean_specs(10, 0.5), 8.0).value, rel=1e-12
     )
     assert report.witness["mu"] == pytest.approx((0.0, 1.0))
+
+
+def test_conditional_probs_refuses_mixed_specs():
+    partition = PartitionSpec((0.0, 0.4, 1.0))
+    spec = ConditionalProbsSpec(partition, (0.5, 0.5), 0.5)
+    other = ConditionalProbsSpec(partition, (0.6, 0.4), 0.5)
+    with pytest.raises(DomainError, match="one shared"):
+        conditional_probs_bound((spec,) * 9 + (other,), 8.0)
+    equal_copies = (spec,) * 5 + (ConditionalProbsSpec(partition, (0.5, 0.5), 0.5),) * 5
+    assert conditional_probs_bound(equal_copies, 8.0) == conditional_probs_bound(
+        (spec,) * 10, 8.0
+    )
 
 
 def test_conditional_probs_vertex_solution():
     partition = PartitionSpec((0.0, 0.3, 0.6, 1.0))
     spec = ConditionalProbsSpec(partition, (0.3, 0.4, 0.3), 0.45)
-    report = conditional_probs_bound(spec, 8, 6.0)
+    report = conditional_probs_bound((spec,) * 8, 6.0)
     mus = report.witness["mu"]
     interior = sum(
         1
@@ -148,7 +159,7 @@ def test_conditional_probs_filled_mean_stays_in_its_cell():
     spec = ConditionalProbsSpec(
         partition, (0.5752562374753217, 0.42474376252467827), 0.45059192852232355
     )
-    report = conditional_probs_bound(spec, 255, 158.8457128826761)
+    report = conditional_probs_bound((spec,) * 255, 158.8457128826761)
     assert report.witness["mu"][-1] == 1.0
     assert report.value == pytest.approx(7.226340914737733e-08, rel=1e-12)
 
@@ -164,13 +175,13 @@ def test_conditional_probs_never_exceeds_mean_only_bound():
         spec = ConditionalProbsSpec(PartitionSpec((0.0, r1, 1.0)), (q1, 1 - q1), p)
         n = int(rng.integers(2, 9))
         t = float(n * p + (n - n * p) * rng.uniform(0.2, 0.8))
-        value = conditional_probs_bound(spec, n, t).value
-        assert value <= hoeffding_bound(MeanInstance(n, p, t)).value + 1e-12
+        value = conditional_probs_bound((spec,) * n, t).value
+        assert value <= hoeffding_bound(mean_specs(n, p), t).value + 1e-12
 
 
 def test_conditional_probs_dominates_sampled_members():
     spec = ConditionalProbsSpec(PartitionSpec((0.0, 0.5, 1.0)), (0.6, 0.4), 0.45)
-    bound = conditional_probs_bound(spec, 1, 0.8).value
+    bound = conditional_probs_bound((spec,), 0.8).value
     rng = np.random.default_rng(67)
     worst = 0.0
     for _ in range(500):
@@ -233,7 +244,7 @@ def test_xi_sum_reduces_to_breakpoint_search_at_full_variance():
     vclasses = [VarianceClassSpec(0.5, 0.25)] * 10
     for t in (6.0, 8.0):
         assert xi_sum_bound(vclasses, t).value == pytest.approx(
-            bentkus_linear_bound(MeanInstance(10, 0.5, t)).value, abs=1e-12
+            bentkus_linear_bound(mean_specs(10, 0.5), t).value, abs=1e-12
         )
 
 

@@ -24,7 +24,6 @@ from tailbound import (
     ConditionalProbsSpec,
     DiscreteDist,
     DomainError,
-    MeanInstance,
     MomentVector,
     PartitionSpec,
     ResourceLimitError,
@@ -284,9 +283,9 @@ def test_infeasible_class_exhausts_sampling():
 
 
 def test_validate_bound_accepts_sound_bound():
-    inst = MeanInstance(3, 0.5, 2.0)
-    bound = hoeffding_bound(inst).value
-    report = validate_bound([MomentVector((0.5,))] * 3, 2.0, bound, 200, 7)
+    specs = [MomentVector((0.5,))] * 3
+    bound = hoeffding_bound(specs, 2.0).value
+    report = validate_bound(specs, 2.0, bound, 200, 7)
     assert report.ok
     assert 0.0 < report.max_tail <= bound
 
@@ -298,9 +297,9 @@ def test_validate_bound_trivial_bound_always_passes():
 
 def test_validate_bound_detects_corrupted_bound():
     # half the exponential bound near the threshold is beatable by members
-    inst = MeanInstance(3, 0.5, 1.6)
-    corrupted = hoeffding_bound(inst).value / 2.0
-    report = validate_bound([MomentVector((0.5,))] * 3, 1.6, corrupted, 200, 7)
+    specs = [MomentVector((0.5,))] * 3
+    corrupted = hoeffding_bound(specs, 1.6).value / 2.0
+    report = validate_bound(specs, 1.6, corrupted, 200, 7)
     assert not report.ok
     violation = report.violations[0]
     assert violation.tail > corrupted
