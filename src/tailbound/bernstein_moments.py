@@ -11,6 +11,7 @@ dominating variable exists once the variance is pinned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, fsum
 from typing import Sequence
 
@@ -130,6 +131,14 @@ def exp_moment_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     return make_report("exp_moment", value, {"h": h_star})
 
 
+@lru_cache(maxsize=1)
+def _lattice_sum(mvs: tuple[MomentVector, ...]) -> DiscreteDist:
+    """The exact convolution of the per-variable lattice distributions; the
+    last result is kept, so consecutive thresholds on one row share it."""
+    weights = {mv: bernstein_weights(mv) for mv in dict.fromkeys(mvs)}
+    return convolve([weights[mv] for mv in mvs])
+
+
 def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
     """Optimal piecewise-linear bound against the exact convolution of the
     per-variable lattice distributions on the grid {0, ..., n*m}/m."""
@@ -139,9 +148,7 @@ def z_nm_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport:
         raise ResourceLimitError(
             f"convolution grid would need {n * m} points (limit {MAX_SUPPORT_POINTS})"
         )
-    weights = {mv: bernstein_weights(mv) for mv in dict.fromkeys(mvs)}
-    total = convolve([weights[mv] for mv in mvs])
-    value, a_star = best_linear_cut(total, t)
+    value, a_star = best_linear_cut(_lattice_sum(tuple(mvs)), t)
     return make_report("z_nm", value, {"epsilon": a_star})
 
 
@@ -170,10 +177,10 @@ def refined_binomial_bound(mvs: Sequence[MomentVector], t: float) -> BoundReport
     and the minimum over s is returned.  The s = 1 term is the plain
     binomial comparison at (n, q_1, t).
     """
-    t = _require_integer_t(t, "the refined binomial bound")
     m = _shared_order(mvs)
     qs = power_mean_sequence(mvs)
     n, _ = mean_regime(mvs, t)
+    t = _require_integer_t(t, "the refined binomial bound")
     j = 0
     for s in range(1, m + 1):
         if n * qs[s - 1] + 1.0 < t:

@@ -9,10 +9,11 @@ coefficients overflow.  Term sums are accumulated with ``math.fsum``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, floor, fsum, lgamma, log, log1p
 
-from .distributions import DiscreteDist, renormalized_dist
-from .errors import DomainError
+from .distributions import MAX_SUPPORT_POINTS, DiscreteDist, renormalized_dist
+from .errors import DomainError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,18 @@ def feller_point_bound(spec: BinomialSpec, i: int) -> float:
     return factor * exp(log_pmf(spec, i))
 
 
+@lru_cache(maxsize=1)
 def binomial_dist(spec: BinomialSpec, scale: float = 1.0) -> DiscreteDist:
     """The full pmf as a DiscreteDist on {0, scale, ..., n*scale}.
 
     For n in the thousands the log-gamma terms sum to one only within a few
     1e-12; the pmf is then renormalized and flagged, as ``convolve`` does.
+    The last result is kept, so consecutive calls on one (spec, scale)
+    share one read-only distribution.
     """
+    if spec.n > MAX_SUPPORT_POINTS:
+        raise ResourceLimitError(
+            f"binomial pmf would need {spec.n + 1} points (limit {MAX_SUPPORT_POINTS})"
+        )
     probs = [exp(log_pmf(spec, k)) for k in range(spec.n + 1)]
     return renormalized_dist([k * scale for k in range(spec.n + 1)], probs)

@@ -213,19 +213,24 @@ def cmd_verify(path: str, trials: int, seed: int) -> int:
     return 1 if total_violations else 0
 
 
-def _figure_rows(p: float, t: int) -> list[tuple[float, ...]]:
+def _figure_rows(p: float, thresholds: Sequence[int]) -> dict[int, list[tuple[float, ...]]]:
+    # each (p, sigma2) row serves all its thresholds in turn, so the
+    # methods' memos build its sum distributions once
     cap = p * (1.0 - p)
-    rows = []
+    rows: dict[int, list[tuple[float, ...]]] = {t: [] for t in thresholds}
     for k in range(1, FIGURE_GRID_POINTS + 1):
         s2 = cap * k / FIGURE_GRID_POINTS
-        task = BoundTask("variance", float(t), (VarianceClassSpec(p, s2),) * FIGURE_N)
-        reports = compute_bounds(task, FIGURE_METHODS)
-        for report in reports:
-            if isinstance(report, SkippedMethod):
-                raise DomainError(
-                    f"figure1 p={p} t={t} sigma2={s2!r}: {report.method} skipped: {report.reason}"
-                )
-        rows.append((s2, *(report.value for report in reports)))
+        specs = (VarianceClassSpec(p, s2),) * FIGURE_N
+        for t in thresholds:
+            task = BoundTask("variance", float(t), specs)
+            reports = compute_bounds(task, FIGURE_METHODS)
+            for report in reports:
+                if isinstance(report, SkippedMethod):
+                    raise DomainError(
+                        f"figure1 p={p} t={t} sigma2={s2!r}: "
+                        f"{report.method} skipped: {report.reason}"
+                    )
+            rows[t].append((s2, *(report.value for report in reports)))
     return rows
 
 
@@ -233,10 +238,10 @@ def cmd_figure1(outdir: str) -> int:
     try:
         os.makedirs(outdir, exist_ok=True)
         for p, thresholds in FIGURE_PANELS:
-            for t in thresholds:
+            for t, rows in _figure_rows(p, thresholds).items():
                 name = f"fig1_p{int(round(p * 100))}_t{t}.csv"
                 lines = ["sigma2,bennett,momopt,xitheorem"]
-                for row in _figure_rows(p, t):
+                for row in rows:
                     lines.append(",".join(format_field(v) for v in row))
                 content = "\n".join(lines) + "\n"
                 fd, tmp_path = tempfile.mkstemp(dir=outdir, suffix=".tmp")

@@ -11,6 +11,7 @@ applies to the envelope instead of the worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, fsum, log, sqrt
 from typing import Sequence
 
@@ -276,6 +277,14 @@ def xi_distribution(vclass: VarianceClassSpec) -> DiscreteDist:
     return DiscreteDist((0.0, p, 1.0), (p0, pp, p1))
 
 
+@lru_cache(maxsize=1)
+def _xi_sum(vclasses: tuple[VarianceClassSpec, ...]) -> DiscreteDist:
+    """The exact convolution of the per-variable three-point envelopes; the
+    last result is kept, so consecutive thresholds on one row share it."""
+    xis = {v: xi_distribution(v) for v in dict.fromkeys(vclasses)}
+    return convolve([xis[v] for v in vclasses])
+
+
 def xi_sum_bound(vclasses: Sequence[VarianceClassSpec], t: float) -> BoundReport:
     """Optimal piecewise-linear bound against the exact convolution of the
     per-variable three-point envelopes.
@@ -283,7 +292,5 @@ def xi_sum_bound(vclasses: Sequence[VarianceClassSpec], t: float) -> BoundReport
     The cut is ``best_linear_cut`` over the support of the sum.
     """
     mean_regime(vclasses, t)
-    xis = {v: xi_distribution(v) for v in dict.fromkeys(vclasses)}
-    total = convolve([xis[v] for v in vclasses])
-    best_value, best_eps = best_linear_cut(total, t)
+    best_value, best_eps = best_linear_cut(_xi_sum(tuple(vclasses)), t)
     return make_report("xi_sum", best_value, {"epsilon": best_eps})

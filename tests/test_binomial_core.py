@@ -11,12 +11,15 @@ from helpers import binom_epp_exact, binom_pmf_exact, binom_tail_exact
 from tailbound import (
     BinomialSpec,
     DomainError,
+    ResourceLimitError,
+    binomial_core,
     binomial_dist,
     expected_positive_part,
     feller_point_bound,
     log_pmf,
     upper_tail,
 )
+from tailbound.distributions import MAX_SUPPORT_POINTS
 
 HALF = Fraction(1, 2)
 
@@ -73,6 +76,22 @@ def test_binomial_dist_large_n_has_unit_mass(n, p):
     assert dist.n_points == n + 1
     assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-14)
     assert dist.mean() == pytest.approx(n * p, rel=1e-12)
+
+
+def test_binomial_dist_refuses_a_support_over_the_limit(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(binomial_core, "log_pmf", reached)
+    n = MAX_SUPPORT_POINTS + 1
+    with pytest.raises(ResourceLimitError, match=f"{n + 1} points"):
+        binomial_dist(BinomialSpec(n, 0.3))
+    # n = MAX_SUPPORT_POINTS passes the check and goes on to the pmf
+    with pytest.raises(Reached):
+        binomial_dist(BinomialSpec(MAX_SUPPORT_POINTS, 0.3))
 
 
 def test_feller_point_bound_known_values():

@@ -22,8 +22,11 @@ from tailbound import (
     PartitionSpec,
     SkippedMethod,
     VarianceClassSpec,
+    bernstein_moments,
+    binomial_core,
     cli,
     instance_io,
+    mixture_bounds,
 )
 from tailbound.classic_bounds import make_report
 from tailbound.cli import main
@@ -312,9 +315,8 @@ def test_every_method_refuses_thresholds_outside_the_regime(level, name, t):
         assert isinstance(row, BoundReport) and row.value == 5.0 / t
         return
     assert isinstance(row, SkippedMethod)
-    # refined_binomial checks the regime at its integer threshold
     assert re.fullmatch(
-        r"t must exceed n\*p = 5\.0 and lie below n = 10, got (5|10)(\.0)?", row.reason
+        r"t must exceed n\*p = 5\.0 and lie below n = 10, got (5|10)\.0", row.reason
     ), row.reason
 
 
@@ -334,6 +336,59 @@ def test_compute_bounds_calls_the_method_bound_to_cli(level, name, monkeypatch):
     assert args[-1] == task.t
     if (level, name) not in {("variance", "bennett"), ("variance", "z_nm")}:
         assert args == (task.specs, task.t)
+
+
+def test_bound_convolves_once_per_row_and_method(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (bernstein_moments, mixture_bounds):
+        real = module.convolve
+
+        def counted(dists, module=module, real=real):
+            calls.append((module.__name__, len(dists)))
+            return real(dists)
+
+        monkeypatch.setattr(module, "convolve", counted)
+    doc = {
+        "schema_version": 1,
+        "information": "variance",
+        "n": 12,
+        "p": 0.3,
+        "sweep": {"t": [5, 6, 8], "sigma2": {"start": 0.1, "stop": 0.2, "points": 2}},
+    }
+    code, out, err = run_cli(capsys, "bound", write_instance(tmp_path, doc))
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 2 * 3 * 9
+    assert sorted(calls) == [("tailbound.bernstein_moments", 12)] * 2 + [
+        ("tailbound.mixture_bounds", 12)
+    ] * 2
+
+
+def _sum_cut_values(specs, t):
+    task = BoundTask("variance", t, specs)
+    rows = cli.compute_bounds(task, ["bentkus_linear", "z_nm", "xi_sum"])
+    return [row.value for row in rows]
+
+
+def test_sum_memos_give_cold_values_and_miss_on_a_changed_row():
+    memos = (binomial_core.binomial_dist, bernstein_moments._lattice_sum, mixture_bounds._xi_sum)
+    row_a = tuple(VarianceClassSpec(0.3, 0.1) for _ in range(12))
+    row_a_copy = tuple(VarianceClassSpec(0.3, 0.1) for _ in range(12))
+    row_b = row_a[:-1] + (VarianceClassSpec(0.3, 0.09),)
+    calls = [(row_a, 6.0), (row_a_copy, 8.0), (row_b, 6.0), (row_a, 8.0)]
+    cold = []
+    for specs, t in calls:
+        for memo in memos:
+            memo.cache_clear()
+        cold.append(_sum_cut_values(specs, t))
+    for memo in memos:
+        memo.cache_clear()
+    assert [_sum_cut_values(specs, t) for specs, t in calls] == cold
+    # row B shares row A's mean, so only the two convolution sums see it change
+    assert [(memo.cache_info().hits, memo.cache_info().misses) for memo in memos] == [
+        (3, 1),
+        (1, 3),
+        (1, 3),
+    ]
 
 
 def test_readme_method_table_lists_every_method():
